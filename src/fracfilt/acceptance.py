@@ -62,17 +62,6 @@ class CheckResult:
         return f"criterion {self.number:02d} {status}  {self.name}  ({self.runtime_s:.1f}s)  [{extras}]"
 
 
-def _ou_model(beta: float, h_zero: bool = False) -> ModelSpec:
-    m = named_model("ou-linear", beta)
-    if not h_zero:
-        return m
-    return ModelSpec(
-        drift=m.drift, sigma=m.sigma,
-        observation=lambda x: np.zeros_like(np.asanyarray(x, dtype=float)),
-        beta=beta, p0=m.p0, name="ou-linear/h=0",
-    )
-
-
 def _zero_obs(horizon: float, step: float) -> ObservationRecord:
     n = int(round(horizon / step))
     times = step * np.arange(n + 1)
@@ -401,7 +390,7 @@ def criterion_10() -> CheckResult:
     A0 = adjoint_matrix(base, grid)
     dt = min(step, stable_step(beta, A0))
     T = unit_slope_inverse(horizon, dt)
-    Phi_a = levy_ext.solve_fractional_zakai_jump_state(jump_model, grid, T, Z)
+    Phi_a = solve_fractional_zakai(jump_model, grid, T, Z)
     Phi_b = solve_fractional_zakai(base, grid, T, Z)
     d_deg = float(np.max(np.abs(Phi_a.values - Phi_b.values)))
     details["state_jump_degeneration"] = d_deg
@@ -475,13 +464,7 @@ def criterion_10() -> CheckResult:
 
     # (d) equation residual of the jump-observation filter on f(x) = x
     jm = named_model("jump-poisson", beta)
-    op_horizon = 4.0
-    while True:
-        D = sample_stable_path(beta, op_horizon, 1e-3, seed=909)
-        if D.horizon_reached >= 1.0:
-            break
-        op_horizon *= 2.0
-    T = invert_path(D, np.linspace(0.0, 1.0, 2001))
+    _, T = _sample_clock(beta, 1.0, 1e-3, seed=909, n_nodes=2001)
     from .sde_sim import simulate_time_changed_state_direct
     X = simulate_time_changed_state_direct(jm, T, seed=910)
     obs = levy_ext.simulate_jump_observation(jm, X, T, seed=911)

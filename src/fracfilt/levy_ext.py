@@ -4,9 +4,11 @@ fractional filter driven by a jump observation.
 
 Only finite atom lists are supported, so the small-jump compensated integral
 of the general Levy calculus vanishes identically and every estimator has a
-Monte-Carlo oracle.  State-jump models reuse the fractional grid solver with
-the adjoint extended by the discrete transpose of the jump generator; the
-jump-observation filter is a weighted-particle method.
+Monte-Carlo oracle.  State-jump models need no solver of their own:
+zakai_fractional.solve_fractional_zakai extends the adjoint by the discrete
+transpose of the jump generator.  The jump-observation filter is the
+Kallianpur-Striebel weighted-particle loop of sde_sim (_weighted_particles)
+with the marked-event likelihood term switched on.
 """
 
 from __future__ import annotations
@@ -16,19 +18,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .models import ModelSpec, SpatialGrid
-from .sde_sim import ObservationRecord, StatePath, _rng, _x0_sampler
-from .subordinator import InversePath
-from .zakai_fractional import FractionalFilterGrid, solve_fractional_zakai
+from .models import ModelSpec
+from .sde_sim import LikelihoodPath, ObservationRecord, StatePath, _weighted_particles, _x0_sampler
+from .subordinator import InversePath, _rng
 
 __all__ = [
     "JumpStatePath",
     "JumpObservationRecord",
-    "JumpLikelihoodPath",
     "simulate_jump_state",
     "simulate_jump_observation",
     "jump_observation_likelihood",
-    "solve_fractional_zakai_jump_state",
     "fractional_filter_jump_obs",
     "JumpFilterResult",
 ]
@@ -51,39 +50,16 @@ class JumpStatePath:
 
 
 @dataclass(frozen=True)
-class JumpObservationRecord:
+class JumpObservationRecord(ObservationRecord):
     """Continuous observation part on a uniform grid plus marked jump events."""
 
-    times: np.ndarray
-    values: np.ndarray          # continuous part, starts at 0
-    events: tuple               # ((time, mark), ...) strictly increasing times
+    events: tuple = ()          # ((time, mark), ...) strictly increasing times
 
     def __post_init__(self):
-        if abs(float(np.atleast_1d(self.values[0])[0])) != 0.0:
-            raise ValueError("continuous observation part starts at 0")
+        super().__post_init__()
         ts = [t for t, _ in self.events]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("event times must be strictly increasing")
-
-    @property
-    def step(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values, axis=0)
-
-
-@dataclass(frozen=True)
-class JumpLikelihoodPath:
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values[0] != 1.0:
-            raise ValueError("likelihood starts at 1")
-        if np.any(self.values <= 0.0):
-            raise ValueError("likelihood must stay positive")
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +217,7 @@ def jump_observation_likelihood(
     X: StatePath,
     obs: JumpObservationRecord,
     T: InversePath | None = None,
-) -> JumpLikelihoodPath:
+) -> LikelihoodPath:
     """Likelihood along one state path against a marked jump observation.
 
     Exponent accumulated with left-point sums:
@@ -259,28 +235,12 @@ def jump_observation_likelihood(
     cont = h * obs.increments - 0.5 * h * h * dT
     logL = np.concatenate(([0.0], np.cumsum(cont)))
     logL += _event_exponent(model, times, xs, obs.events, dT)
-    return JumpLikelihoodPath(times=times.copy(), values=np.exp(logL))
+    return LikelihoodPath(times=times.copy(), values=np.exp(logL))
 
 
 # ---------------------------------------------------------------------------
-# grid solver with state jumps / particle filter with observation jumps
+# particle filter with observation jumps
 # ---------------------------------------------------------------------------
-
-def solve_fractional_zakai_jump_state(
-    model: ModelSpec,
-    grid: SpatialGrid,
-    T: InversePath,
-    obs_operational: ObservationRecord,
-    **kwargs,
-) -> FractionalFilterGrid:
-    """Fractional Zakai stepping with the adjoint extended by the jump transpose.
-
-    The extension happens inside the adjoint assembly (discrete transpose of the
-    finite-activity jump generator), so lam0 = 0 reproduces the diffusion solver
-    output exactly.
-    """
-    return solve_fractional_zakai(model, grid, T, obs_operational, **kwargs)
-
 
 @dataclass(frozen=True)
 class JumpFilterResult:
@@ -310,126 +270,23 @@ def fractional_filter_jump_obs(
     the time-changed clock.  residual_test_functions is a sequence of
     (f, f', f'') triples; for each, the filter equation is evaluated residually
     at the final time with every term estimated from the same particle cloud,
-    and the per-particle residual mean and standard error are reported.
+    and the per-particle residual mean and standard error are reported.  The
+    loop is the Kallianpur-Striebel one (sde_sim._weighted_particles) with the
+    marked-event channel switched on, so with intensity 0 the two filters agree
+    exactly.
     """
-    if n_particles < 100:
-        raise ValueError("use at least 100 particles")
     jumps = model.jumps
     if jumps is None or jumps.obs_rate is None:
         raise ValueError("model carries no observation jump specification")
-    times = T.times
-    dT = np.diff(T.values)
-    M = len(dT)
-    dHc = obs.increments
-
-    rng = _rng(seed)
-    x = _x0_sampler(model, rng, n_particles)
-    dB = rng.standard_normal((n_particles, M))
-
-    X = np.empty((n_particles, M + 1))
-    X[:, 0] = x
-    logw = np.zeros(n_particles)
-    W = np.empty((n_particles, M + 1))
-    W[:, 0] = 1.0
-
-    nu_tot = jumps.intensity
-    # event bookkeeping: an event (se, w) is evaluated predictably, i.e. at its
-    # own time against the state at the left node of its interval
-    ev_at = [[] for _ in range(M)]
-    for (se, w) in obs.events:
-        k = int(np.searchsorted(times, se, side="left") - 1)
-        ev_at[min(max(k, 0), M - 1)].append((se, w))
-
-    for k in range(M):
-        xk = X[:, k]
-        h = model.h_matrix(xk)[:, 0]
-        logw = logw + h * dHc[k] - 0.5 * h * h * dT[k]
-        if nu_tot > 0.0:
-            for w, p in jumps.atoms:
-                lam = np.asarray(jumps.obs_rate(times[k], xk, w), dtype=float)
-                if np.any(lam <= 0.0):
-                    raise ValueError("rate multiplier must stay positive")
-                logw = logw + nu_tot * p * (1.0 - lam) * dT[k]
-            for (se, w) in ev_at[k]:
-                lam = np.asarray(jumps.obs_rate(se, xk, w), dtype=float)
-                logw = logw + np.log(lam)
-        X[:, k + 1] = xk + model.drift(xk) * dT[k] + model.sigma(xk) * np.sqrt(dT[k]) * dB[:, k]
-        W[:, k + 1] = np.exp(logw)
-
-    fX = np.asarray(f(X), dtype=float)
-    unnorm = (fX * W).mean(axis=0)
-    post = (fX * W).sum(axis=0) / W.sum(axis=0)
-    ess = W.sum(axis=0) ** 2 / (W * W).sum(axis=0)
-
-    residuals = []
-    for trip in residual_test_functions:
-        residuals.append(_equation_residual(model, T, obs, X, W, trip))
+    post, _, ess, log_mean_w, residuals = _weighted_particles(
+        model, T.times, obs.increments, np.diff(T.values), f, n_particles, seed,
+        jumps=jumps, events=obs.events, test_functions=residual_test_functions,
+    )
     return JumpFilterResult(
-        times=times.copy(),
+        times=T.times.copy(),
         posterior=post,
-        unnormalized=unnorm,
+        unnormalized=post * np.exp(log_mean_w),
         ess=ess,
         weight_collapse=bool(np.min(ess) < 2.0),
-        residuals=tuple(residuals),
+        residuals=residuals,
     )
-
-
-def _equation_residual(model, T, obs, X, W, trip):
-    """Per-particle residual of the jump-observation filter equation at the horizon.
-
-    R_i = f(X_T) L_T - f(X_0)
-          - memory[(Af)(X_s) L_s](t)
-          - sum_k h f L dHc_k
-          - [ sum_events (lam - 1) f L  -  sum_k int (lam - 1) nu(dw) f L dT_k ]
-
-    with (Af)(x) = 0.5 sigma^2 f'' + b f'.  Conditionally on the realized clock
-    the memory term acts along T, so it is evaluated as the left-point Stieltjes
-    sum sum_k (Af) L dT_k (the fractional kernel form is its T-average).  The
-    estimator averages R_i over the cloud; every term shares the same particles
-    so the standard error of the mean is the honest tolerance scale.
-    """
-    f, f1, f2 = trip
-    jumps = model.jumps
-    times = T.times
-    dT = np.diff(T.values)
-    M = len(dT)
-    dHc = obs.increments
-
-    fX = np.asarray(f(X), dtype=float)
-    Af = 0.5 * np.asarray(model.sigma(X), dtype=float) ** 2 * np.asarray(f2(X), dtype=float) \
-        + np.asarray(model.drift(X), dtype=float) * np.asarray(f1(X), dtype=float)
-
-    series = Af * W                       # (n, M+1) per-particle phi_s(Af) contributions
-    Jterm = series[:, :-1] @ dT
-
-    cont = np.zeros(X.shape[0])
-    comp = np.zeros(X.shape[0])
-    qv_var = 0.0
-    for k in range(M):
-        xk = X[:, k]
-        h = model.h_matrix(xk)[:, 0]
-        cont += h * fX[:, k] * W[:, k] * dHc[k]
-        # the discrete stochastic integral carries the realized-quadratic-variation
-        # fluctuation sum_k c_k ((dHc_k)^2 - dT_k), common to every particle; its
-        # delta-method variance enters the combined standard error
-        c_k = 0.5 * float(np.mean(h * h * fX[:, k] * W[:, k]))
-        qv_var += c_k * c_k * 2.0 * dT[k] ** 2
-        for w, p in jumps.atoms:
-            lam = np.asarray(jumps.obs_rate(times[k], xk, w), dtype=float)
-            comp += jumps.intensity * p * (lam - 1.0) * fX[:, k] * W[:, k] * dT[k]
-    ev = np.zeros(X.shape[0])
-    for (se, w) in obs.events:
-        k = int(np.searchsorted(times, se, side="left") - 1)
-        k = min(max(k, 0), M - 1)
-        lam = np.asarray(jumps.obs_rate(se, X[:, k], w), dtype=float)
-        ev += (lam - 1.0) * fX[:, k] * W[:, k]
-
-    R = fX[:, -1] * W[:, -1] - fX[:, 0] - Jterm - cont - (ev - comp)
-    se_particles = float(R.std(ddof=1) / np.sqrt(len(R)))
-    return {
-        "residual": float(R.mean()),
-        "se": float(np.sqrt(se_particles ** 2 + qv_var)),
-        "se_particles": se_particles,
-        "se_quadratic_variation": float(np.sqrt(qv_var)),
-        "lhs": float((fX[:, -1] * W[:, -1]).mean()),
-    }

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import ModelSpec
-from .subordinator import InversePath
+from .subordinator import InversePath, _rng
 
 __all__ = [
     "StatePath",
@@ -79,11 +79,6 @@ class LikelihoodPath:
             raise ValueError("likelihood starts at 1")
         if np.any(self.values <= 0.0):
             raise ValueError("likelihood must stay positive")
-
-
-def _rng(seed, stream: int = 0) -> np.random.Generator:
-    key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _x0_sampler(model: ModelSpec, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -238,9 +233,111 @@ class KSEstimate:
     weight_collapse: bool                 # flagged when min ESS < 2
     posterior_sd: np.ndarray = field(default=None)
 
-    def standard_error(self) -> np.ndarray:
-        """Delta-method standard error of the weighted mean at each time."""
-        return self.posterior_sd
+
+def _weighted_particles(model: ModelSpec, times, dZ, dT, f, n_particles: int, seed,
+                        jumps=None, events=(), test_functions=()):
+    """The weighted-particle loop behind both particle filters.
+
+    Particles follow the state equation under the reference measure on the
+    clock increments dT and carry their log-likelihood against the observation
+    increments dZ (M, m), every term taken at the left node.  jumps is the
+    JumpSpec of an observed marked-event channel, None for a continuous-only
+    observation; with intensity > 0 each step adds the compensator
+    nu_tot p_w (1 - lam(t_k, x, w)) dT_k per atom, and each event (s_e, w) adds
+    ln lam(s_e, x, w) at the state of the left node of its interval.
+
+    For each (g, g', g'') in test_functions the per-particle residual of the
+    filter equation at the horizon,
+
+        R_i = g(X_T) L_T - g(X_0) - sum_k (Ag)(X_k) L_k dT_k - sum_k h g L dZ_k
+              - [ sum_events (lam - 1) g L - sum_k int (lam - 1) nu(dw) g L dT_k ],
+
+    with (Ag)(x) = 0.5 sigma^2 g'' + b g', is summed step by step.  Given the
+    clock, the memory term acts along T as a left-point Stieltjes sum (the
+    fractional kernel form is its T-average).  The standard error combines the
+    spread of R_i over the cloud with the delta-method variance of the
+    realized-quadratic-variation fluctuation sum_k c_k ((dZ_k)^2 - dT_k),
+    which is common to every particle.
+
+    Returns the per-node posterior mean of f, its delta-method standard error,
+    the ESS and the log mean raw weight, plus one residual dict per triple.
+    """
+    if n_particles < 100:
+        raise ValueError("use at least 100 particles")
+    M = len(dT)
+    dZ = np.asarray(dZ, dtype=float).reshape(M, -1)
+    rated = jumps is not None and jumps.intensity > 0.0
+    ev_at = [[] for _ in range(M)]
+    for (se, w) in events:
+        k = int(np.searchsorted(times, se, side="left") - 1)
+        ev_at[min(max(k, 0), M - 1)].append((se, w))
+
+    rng = _rng(seed)
+    y = _x0_sampler(model, rng, n_particles)
+    logw = np.zeros(n_particles)
+    est, sd, ess, log_mean_w = (np.empty(M + 1) for _ in range(4))
+    # per test function: g(X_0) plus the running sum of the right-hand terms
+    rhs = [np.array(g(y), dtype=float) for g, _, _ in test_functions]
+    qv_var = np.zeros(len(test_functions))
+
+    def record(k, y, logw):
+        top = logw.max()
+        w = np.exp(logw - top)
+        wsum = w.sum()
+        fy = np.asarray(f(y), dtype=float)
+        mean = float((w * fy).sum() / wsum)
+        est[k] = mean
+        # delta-method SE of the self-normalized estimator
+        sd[k] = float(np.sqrt(np.sum((w / wsum) ** 2 * (fy - mean) ** 2)))
+        ess[k] = float(wsum ** 2 / np.sum(w ** 2))
+        log_mean_w[k] = top + np.log(wsum / n_particles)
+
+    record(0, y, logw)
+    dB = rng.standard_normal((n_particles, M))
+    for k in range(M):
+        h = model.h_matrix(y)
+        hdz, hh = h @ dZ[k], np.sum(h * h, axis=1)
+        b, s = model.drift(y), model.sigma(y)
+        L = np.exp(logw) if test_functions else None
+        gL = []
+        for i, (g, g1, g2) in enumerate(test_functions):
+            gL.append(np.asarray(g(y), dtype=float) * L)
+            Ag = 0.5 * s ** 2 * np.asarray(g2(y), dtype=float) + b * np.asarray(g1(y), dtype=float)
+            rhs[i] += Ag * L * dT[k] + hdz * gL[i]
+            c = 0.5 * float(np.mean(hh * gL[i]))
+            qv_var[i] += c * c * 2.0 * dT[k] ** 2
+        logw = logw + hdz - 0.5 * hh * dT[k]
+        if rated:
+            for w, p in jumps.atoms:
+                lam = np.asarray(jumps.obs_rate(times[k], y, w), dtype=float)
+                if np.any(lam <= 0.0):
+                    raise ValueError("rate multiplier must stay positive")
+                logw = logw + jumps.intensity * p * (1.0 - lam) * dT[k]
+                for r, gl in zip(rhs, gL):
+                    r -= jumps.intensity * p * (lam - 1.0) * gl * dT[k]
+            for (se, w) in ev_at[k]:
+                lam = np.asarray(jumps.obs_rate(se, y, w), dtype=float)
+                if np.any(lam <= 0.0):
+                    raise ValueError(f"rate multiplier lam <= 0 at event ({se}, {w}); log undefined")
+                logw = logw + np.log(lam)
+                for r, gl in zip(rhs, gL):
+                    r += (lam - 1.0) * gl
+        y = y + b * dT[k] + s * np.sqrt(dT[k]) * dB[:, k]
+        record(k + 1, y, logw)
+
+    residuals = []
+    for (g, _, _), r, qv in zip(test_functions, rhs, qv_var):
+        lhs = np.asarray(g(y), dtype=float) * np.exp(logw)
+        R = lhs - r
+        se_particles = float(R.std(ddof=1) / np.sqrt(n_particles))
+        residuals.append({
+            "residual": float(R.mean()),
+            "se": float(np.sqrt(se_particles ** 2 + qv)),
+            "se_particles": se_particles,
+            "se_quadratic_variation": float(np.sqrt(qv)),
+            "lhs": float(lhs.mean()),
+        })
+    return est, sd, ess, log_mean_w, tuple(residuals)
 
 
 def kallianpur_striebel_estimate(
@@ -256,45 +353,19 @@ def kallianpur_striebel_estimate(
     Particles are independent copies of the state simulated under the reference
     measure; each is weighted by its exponential likelihood evaluated against
     the GIVEN observation increments.  dt_weights overrides the clock increments
-    in the quadratic penalty (pass diff(T) for time-changed problems).  Weight
-    collapse (ESS < 2) is flagged in the output, not fatal.
+    of the state steps and of the quadratic penalty (pass diff(T) for
+    time-changed problems).  Weight collapse (ESS < 2) is flagged in the
+    output, not fatal.
     """
-    if n_particles < 100:
-        raise ValueError("use at least 100 particles")
-    times = observed.times
-    M = len(times) - 1
-    dZ = observed.increments
-    if dZ.ndim == 1:
-        dZ = dZ[:, None]
-    dt_arr = np.broadcast_to(
+    M = len(observed.times) - 1
+    dt = np.broadcast_to(
         np.asarray(observed.step if dt_weights is None else dt_weights, dtype=float), (M,)
     )
-    rng = _rng(seed)
-    y = _x0_sampler(model, rng, n_particles)
-    logw = np.zeros(n_particles)
-    est = np.empty(M + 1)
-    sd = np.empty(M + 1)
-    ess = np.empty(M + 1)
-
-    def record(k, yk, logw):
-        w = np.exp(logw - logw.max())
-        wsum = w.sum()
-        fy = np.asarray(f(yk), dtype=float)
-        mean = float((w * fy).sum() / wsum)
-        est[k] = mean
-        # delta-method SE of the self-normalized estimator
-        sd[k] = float(np.sqrt(np.sum((w / wsum) ** 2 * (fy - mean) ** 2)))
-        ess[k] = float(wsum ** 2 / np.sum(w ** 2))
-
-    record(0, y, logw)
-    dB = rng.standard_normal((n_particles, M))
-    for k in range(M):
-        h = model.h_matrix(y)
-        logw = logw + h @ dZ[k] - 0.5 * np.sum(h * h, axis=1) * dt_arr[k]
-        y = y + model.drift(y) * dt_arr[k] + model.sigma(y) * np.sqrt(dt_arr[k]) * dB[:, k]
-        record(k + 1, y, logw)
+    est, sd, ess, _, _ = _weighted_particles(
+        model, observed.times, observed.increments, dt, f, n_particles, seed
+    )
     return KSEstimate(
-        times=times,
+        times=observed.times,
         values=est,
         ess=ess,
         weight_collapse=bool(np.min(ess) < 2.0),

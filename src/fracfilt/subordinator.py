@@ -138,7 +138,7 @@ def _a_zero(beta: float) -> float:
     return (1.0 - beta) * beta ** (beta / (1.0 - beta))
 
 
-def _rng_for(seed, stream: int = 0) -> np.random.Generator:
+def _rng(seed, stream: int = 0) -> np.random.Generator:
     # counter-based generator; (seed, stream) form the two words of the Philox
     # key, so distinct streams can never collide for any 64-bit seed
     key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
@@ -169,7 +169,7 @@ def sample_stable_path(beta: float, horizon: float, step: float, seed) -> Subord
     if horizon <= 0.0 or step <= 0.0:
         raise ValueError("horizon and step must be positive")
     n = int(np.ceil(horizon / step))
-    rng = _rng_for(seed)
+    rng = _rng(seed)
     inc = step ** (1.0 / beta) * sample_standard_stable(beta, n, rng)
     values = np.concatenate(([0.0], np.cumsum(inc)))
     times = step * np.arange(n + 1)

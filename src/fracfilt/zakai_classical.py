@@ -55,14 +55,14 @@ def solve_zakai(
     model: ModelSpec,
     grid: SpatialGrid,
     obs: ObservationRecord,
-    theta: float = 0.5,
 ) -> FilterDensityGrid:
     """March the adjoint Zakai equation along the supplied observation path.
 
     obs must live on a uniform time grid; its increments are consumed verbatim
-    (the solver is a deterministic map from the observation path).  theta = 0.5
-    is Crank-Nicolson; small CN undershoots are clamped to zero and the removed
-    mass is accumulated in the diagnostics.  Requires a jump-free state model.
+    (the solver is a deterministic map from the observation path).  The
+    diffusion step is Crank-Nicolson; small CN undershoots are clamped to zero
+    and the removed mass is accumulated in the diagnostics.  Requires a
+    jump-free state model.
     """
     if model.jumps is not None and model.jumps.state_jump_map is not None:
         raise ValueError("solve_zakai handles diffusion state models only")
@@ -79,8 +79,8 @@ def solve_zakai(
     A = adjoint_matrix(model, grid)
     n = grid.n_nodes
     eye = sp.identity(n, format="csc")
-    lhs = spla.splu((eye - theta * dt * A).tocsc())
-    rhs = (eye + (1.0 - theta) * dt * A).tocsr()
+    lhs = spla.splu((eye - 0.5 * dt * A).tocsc())
+    rhs = (eye + 0.5 * dt * A).tocsr()
 
     h = model.h_matrix(x)                       # (n, m)
     hsq = 0.5 * np.sum(h * h, axis=1) * dt

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,7 +87,7 @@ class TestJumpStateSolver:
         step = 5e-3
         _, Z = simulate_classical_pair(base, 0.5 + step, step, seed=62)
         T = unit_slope_inverse(0.5, step)
-        a = levy_ext.solve_fractional_zakai_jump_state(m0, grid, T, Z)
+        a = solve_fractional_zakai(m0, grid, T, Z)
         b = solve_fractional_zakai(base, grid, T, Z)
         assert np.array_equal(a.values, b.values)
 
@@ -111,8 +113,7 @@ class TestJumpStateSolver:
         T = unit_slope_inverse(horizon, dt)
         nt = int(round(1.2 / 1e-2))
         zeros = ObservationRecord(times=1e-2 * np.arange(nt + 1), values=np.zeros(nt + 1))
-        Phi = levy_ext.solve_fractional_zakai_jump_state(model, grid, T, zeros,
-                                                         memory="kernel", adjoint=A)
+        Phi = solve_fractional_zakai(model, grid, T, zeros, memory="kernel", adjoint=A)
         # oracle: per-step Poisson thinning of the jump times on a fixed grid
         rng = np.random.Generator(np.random.Philox(key=4321))
         npaths, steps = 100_000, 500
@@ -145,7 +146,7 @@ class TestJumpStateSolver:
         T = invert_path(D, np.linspace(0.0, 1.0, 501))
         tau_max = float(np.max(T.values))
         _, Z = simulate_classical_pair(model, tau_max * 1.02 + 1e-3, 1e-3, seed=64)
-        Phi = levy_ext.solve_fractional_zakai_jump_state(model, grid, T, Z)
+        Phi = solve_fractional_zakai(model, grid, T, Z)
 
         # particle oracle under the reference measure with the same clock
         rng = np.random.Generator(np.random.Philox(key=65))
@@ -293,3 +294,39 @@ class TestJumpObservationFilter:
         assert all(b > a for a, b in zip(ts, ts[1:]))
         for _, w in obs.events:
             assert w in (1.0, -1.0)
+
+    def test_event_at_zero_rate_raises(self):
+        # the rate is 2 at every node but 0 at the event time between two nodes
+        step = 1e-2
+        base = named_model("ou-linear", 0.5)
+        m = ModelSpec(
+            drift=base.drift, sigma=base.sigma, observation=base.observation,
+            beta=0.5, p0=base.p0,
+            jumps=JumpSpec(intensity=1.0, atoms=[(1.0, 1.0)],
+                           obs_rate=lambda t, x, w: (1.0 + np.cos(2.0 * np.pi * t / step))
+                           * np.ones_like(np.asanyarray(x, dtype=float))),
+        )
+        T = unit_slope_inverse(1.0, step)
+        obs = levy_ext.JumpObservationRecord(times=T.times, values=np.zeros(len(T.times)),
+                                             events=((0.505, 1.0),))
+        with pytest.raises(ValueError, match="log undefined"):
+            levy_ext.fractional_filter_jump_obs(m, T, obs, lambda x: x, 200, seed=78)
+
+    def test_memory_peak_stays_below_twice_the_noise_array(self):
+        # the (particles, steps) noise array is the only allocation that grows
+        # with both sizes; state, weights and residual sums are per particle
+        m = named_model("jump-poisson", 0.5)
+        T = unit_slope_inverse(1.0, 1e-3)
+        X = simulate_time_changed_state_direct(m, T, seed=80)
+        obs = levy_ext.simulate_jump_observation(m, X, T, seed=81)
+        n, M = 2000, len(T.times) - 1
+        f = lambda x: x
+        tracemalloc.start()
+        try:
+            levy_ext.fractional_filter_jump_obs(
+                m, T, obs, f, n, seed=82,
+                residual_test_functions=[(f, np.ones_like, np.zeros_like)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * n * M * 8
