@@ -137,12 +137,12 @@ def _run_frac_zakai(cfg, out):
     _, Z = simulate_classical_pair(model, D.times[-1], cfg.step, cfg.seed + 1)
     Phi = solve_fractional_zakai(model, grid, T, Z)
     files = _emit_density_files(out, grid, Phi.times, Phi.values, prefix="frac_zakai",
-                                extra_cols={"beta": cfg.beta, "T_t": Phi.inverse_path})
+                                extra_cols={"beta": cfg.beta, "T_t": T})
     mass = Phi.mass()
     ok = bool(np.all(np.isfinite(mass)))
     summary = {
         "run": "frac-zakai", "beta": cfg.beta, "final_mass": float(mass[-1]),
-        "time_steps": len(Phi.times) - 1, "pass": ok,
+        "time_steps": len(Phi.times) - 1, "clamped_mass": Phi.clamped_mass, "pass": ok,
     }
     return ok, summary, files
 
@@ -167,7 +167,11 @@ def _run_oracle(cfg, out):
             [(r["checkpoint"], r["tau"], r["l1"], r["sup"]) for r in rows],
         )
     ]
-    summary = {"run": "oracle", "beta": cfg.beta, "tolerance_l1": tol, "pass": passed}
+    summary = {
+        "run": "oracle", "beta": cfg.beta, "tolerance_l1": tol,
+        "clamped_mass": Phi.clamped_mass, "classical_clamped_mass": U.clamped_mass,
+        "pass": passed,
+    }
     for r in rows:
         summary[f"l1_at_{r['checkpoint']:g}"] = r["l1"]
     return passed, summary, files

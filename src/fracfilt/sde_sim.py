@@ -310,16 +310,20 @@ def _weighted_particles(model: ModelSpec, times, dZ, dT, f, n_particles: int, se
         if rated:
             for w, p in jumps.atoms:
                 lam = np.asarray(jumps.obs_rate(times[k], y, w), dtype=float)
-                if np.any(lam <= 0.0):
-                    raise ValueError("rate multiplier must stay positive")
+                if np.any(lam < 0.0):
+                    raise ValueError("rate multiplier must stay nonnegative")
                 logw = logw + jumps.intensity * p * (1.0 - lam) * dT[k]
                 for r, gl in zip(rhs, gL):
                     r -= jumps.intensity * p * (lam - 1.0) * gl * dT[k]
             for (se, w) in ev_at[k]:
                 lam = np.asarray(jumps.obs_rate(se, y, w), dtype=float)
-                if np.any(lam <= 0.0):
-                    raise ValueError(f"rate multiplier lam <= 0 at event ({se}, {w}); log undefined")
-                logw = logw + np.log(lam)
+                if np.any(lam < 0.0):
+                    raise ValueError(f"rate multiplier lam < 0 at event ({se}, {w}); log undefined")
+                # a particle with lam = 0 cannot have produced the event: weight 0
+                logw = logw + np.log(lam, out=np.full_like(lam, -np.inf), where=lam > 0.0)
+                if np.all(logw == -np.inf):
+                    raise ValueError(f"no particle with weight has lam > 0 at event "
+                                     f"({se}, {w}); log undefined")
                 for r, gl in zip(rhs, gL):
                     r += (lam - 1.0) * gl
         y = y + b * dT[k] + s * np.sqrt(dT[k]) * dB[:, k]

@@ -1,6 +1,8 @@
 """Grid solver for the classical (adjoint) Zakai equation, plus linear-Gaussian references.
 
-One step of the solver is Lie splitting: an implicit Crank-Nicolson sweep of
+The classical filter is the fractional one on the identity clock T_t = t, so
+`solve_zakai` runs the one Crank-Nicolson stepper of `zakai_fractional` on that
+clock.  One step is Lie splitting: an implicit Crank-Nicolson sweep of
 dU = A* U dt followed by the multiplicative observation update
 U <- U exp(sum_k h_k(x) dZ_k - 0.5 |h(x)|^2 dt).  The adjoint matrix has zero
 column sums, so with h = 0 the discrete mass sum(U) dx is conserved exactly.
@@ -8,14 +10,12 @@ column sums, so with h = 0 the discrete mass sum(U) dx is conserved exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .models import ModelSpec, SpatialGrid, adjoint_matrix
 from .sde_sim import ObservationRecord
+from .subordinator import InversePath
+from .zakai_fractional import FilterDensityGrid, _solve_clock
 
 __all__ = [
     "FilterDensityGrid",
@@ -26,31 +26,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FilterDensityGrid:
-    """Unnormalized filtering density U(t_k, x_j) >= 0 on grid x time grid."""
-
-    grid: SpatialGrid
-    times: np.ndarray
-    values: np.ndarray               # (n_times, n_nodes)
-    clamped_mass: float = 0.0        # total negative mass removed by clamping
-
-    def at_time(self, t: float) -> np.ndarray:
-        """Linear time interpolation of the density profile."""
-        t = float(t)
-        times = self.times
-        if t <= times[0]:
-            return self.values[0].copy()
-        if t >= times[-1]:
-            return self.values[-1].copy()
-        k = int(np.searchsorted(times, t) - 1)
-        w = (t - times[k]) / (times[k + 1] - times[k])
-        return (1.0 - w) * self.values[k] + w * self.values[k + 1]
-
-    def mass(self) -> np.ndarray:
-        return self.values.sum(axis=1) * self.grid.spacing
-
-
 def solve_zakai(
     model: ModelSpec,
     grid: SpatialGrid,
@@ -58,44 +33,20 @@ def solve_zakai(
 ) -> FilterDensityGrid:
     """March the adjoint Zakai equation along the supplied observation path.
 
-    obs must live on a uniform time grid; its increments are consumed verbatim
-    (the solver is a deterministic map from the observation path).  The
-    diffusion step is Crank-Nicolson; small CN undershoots are clamped to zero
-    and the removed mass is accumulated in the diagnostics.  Requires a
-    jump-free state model.
+    obs must live on a uniform time grid starting at 0; its values are
+    consumed verbatim (the solver is a deterministic map from the observation
+    path).  Steps longer than the stepper's chunk limit of 0.02 are split into
+    equal Crank-Nicolson chunks.  Small CN undershoots are clamped to zero and
+    the removed mass is accumulated in the diagnostics.  Requires a jump-free
+    state model.
     """
     if model.jumps is not None and model.jumps.state_jump_map is not None:
         raise ValueError("solve_zakai handles diffusion state models only")
     model.validate_on_grid(grid)
     if not np.allclose(np.diff(obs.times), obs.step):
         raise ValueError("observation must live on a uniform time grid")
-    x = grid.nodes
-    dt = obs.step
-    dZ = obs.increments
-    if dZ.ndim == 1:
-        dZ = dZ[:, None]
-    M = dZ.shape[0]
-
-    A = adjoint_matrix(model, grid)
-    n = grid.n_nodes
-    eye = sp.identity(n, format="csc")
-    lhs = spla.splu((eye - 0.5 * dt * A).tocsc())
-    rhs = (eye + 0.5 * dt * A).tocsr()
-
-    h = model.h_matrix(x)                       # (n, m)
-    hsq = 0.5 * np.sum(h * h, axis=1) * dt
-
-    U = np.empty((M + 1, n))
-    U[0] = np.maximum(np.asarray(model.p0(x), dtype=float), 0.0)
-    clamped = 0.0
-    for k in range(M):
-        u = lhs.solve(rhs @ U[k])
-        neg = u < 0.0
-        if neg.any():
-            clamped += float(-u[neg].sum() * grid.spacing)
-            u[neg] = 0.0
-        U[k + 1] = u * np.exp(h @ dZ[k] - hsq)
-    return FilterDensityGrid(grid=grid, times=obs.times.copy(), values=U, clamped_mass=clamped)
+    identity = InversePath(times=obs.times, values=obs.times)
+    return _solve_clock(model, grid, identity, obs, adjoint_matrix(model, grid))
 
 
 def normalize(U: FilterDensityGrid, t: float) -> tuple[np.ndarray, float]:

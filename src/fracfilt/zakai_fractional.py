@@ -1,4 +1,5 @@
-"""Solver for the fractional Zakai equation and its subordination cross-checks.
+"""Solver for the fractional Zakai equation, the one Crank-Nicolson stepper, and
+the subordination cross-checks.
 
 Two discretizations of the same filtering object are provided, selected by the
 ``memory`` argument of :func:`solve_fractional_zakai`:
@@ -8,10 +9,10 @@ Two discretizations of the same filtering object are provided, selected by the
     path, the solution is the classical one run on the random clock, so the
     equation reduces to d Phi = A* Phi dT_t + h Phi dV_t with V = Z o T.  Each
     real-time step applies Crank-Nicolson over the clock increment dT (split
-    into bounded operational chunks) followed by the multiplicative
-    observation factor exp(h dV - 0.5 |h|^2 dT).  This is the construction the
-    pathwise oracle compares against the composed classical solution, and with
-    a unit-slope clock it coincides with the classical solver step for step.
+    into operational chunks of at most 0.02), each chunk followed by the
+    multiplicative observation factor exp(h dV - 0.5 |h|^2 dT).  The classical
+    solver ``zakai_classical.solve_zakai`` is this stepper on the identity
+    clock T_t = t, and the pathwise oracle compares the two.
 
 ``kernel``
     Expectation semantics.  The memory term is the deterministic fractional
@@ -39,16 +40,16 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_banded
+from scipy.sparse.linalg import splu
 from scipy.special import gamma as _gamma
 
 from .fraccalc import trapezoid_weights
 from .models import ModelSpec, SpatialGrid, adjoint_matrix, jump_generator_matrix
 from .sde_sim import ObservationRecord
 from .subordinator import InversePath, inverse_density_grid, tail_bound
-from .zakai_classical import FilterDensityGrid
 
 __all__ = [
-    "FractionalFilterGrid",
+    "FilterDensityGrid",
     "stable_step",
     "solve_fractional_zakai",
     "subordinate_filter",
@@ -63,21 +64,33 @@ _Z_TABLE_BETA = np.array([0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.90, 
 _Z_TABLE_VAL = np.array([0.93, 0.913, 0.889, 0.877, 0.875, 0.883, 0.899, 0.925, 0.959, 0.980, 0.999, 1.003])
 _Z_SAFETY = 0.7
 
+# longest operational time one Crank-Nicolson chunk of clock mode covers
+_DTAU_MAX = 0.02
+
 
 @dataclass(frozen=True)
-class FractionalFilterGrid:
-    """Unnormalized fractional filtering density Phi(t_k, x_j) with its clock data."""
+class FilterDensityGrid:
+    """Unnormalized filtering density U(t_k, x_j) >= 0 on grid x time grid."""
 
     grid: SpatialGrid
     times: np.ndarray
-    values: np.ndarray
-    beta: float
-    inverse_path: InversePath | None = None
-    clamped_mass: float = 0.0
+    values: np.ndarray               # (n_times, n_nodes)
+    clamped_mass: float = 0.0        # total negative mass removed by clamping
 
     def at_time(self, t: float) -> np.ndarray:
+        """Linear time interpolation of the density profile.
+
+        Raises when t lies outside the stored times by more than 1e-9 of a
+        step; that slack keeps end-of-grid queries working when the last
+        stored time rounds one ulp short of the requested horizon.
+        """
         t = float(t)
         times = self.times
+        slack = 1e-9 * (times[-1] - times[0]) / max(len(times) - 1, 1)
+        if not times[0] - slack <= t <= times[-1] + slack:
+            raise ValueError(
+                f"t = {t} lies outside the stored times [{times[0]}, {times[-1]}]"
+            )
         if t <= times[0]:
             return self.values[0].copy()
         if t >= times[-1]:
@@ -104,11 +117,11 @@ def stable_step(beta: float, A: sp.spmatrix) -> float:
     return (z / mu) ** (1.0 / beta)
 
 
-def _time_changed_values(obs: ObservationRecord, tau: np.ndarray) -> np.ndarray:
-    """Z interpolated at operational times tau, as an (len(tau), m) matrix."""
+def _time_changed_increments(obs: ObservationRecord, tau: np.ndarray) -> np.ndarray:
+    """Increments of Z interpolated at the operational times tau, as (len(tau) - 1, m)."""
     zmat = obs.matrix()
-    return np.column_stack(
-        [np.interp(tau, obs.times, zmat[:, j]) for j in range(zmat.shape[1])]
+    return np.diff(
+        np.column_stack([np.interp(tau, obs.times, z) for z in zmat.T]), axis=0
     )
 
 
@@ -120,9 +133,7 @@ def solve_fractional_zakai(
     memory: str = "clock",
     adjoint: sp.spmatrix | None = None,
     max_steps: int = 400_000,
-    dtau_max: float = 0.02,
-    clamp_negative: bool = True,
-) -> FractionalFilterGrid:
+) -> FilterDensityGrid:
     """Advance the fractional Zakai equation on the real-time grid of T.
 
     obs_operational is the classical observation Z on the operational grid; the
@@ -146,8 +157,8 @@ def solve_fractional_zakai(
         raise ValueError(f"unknown memory mode {memory!r}")
 
     if memory == "clock":
-        return _solve_clock(model, grid, T, obs_operational, adjoint, dtau_max, clamp_negative)
-    return _solve_kernel(model, grid, T, obs_operational, adjoint, clamp_negative)
+        return _solve_clock(model, grid, T, obs_operational, adjoint)
+    return _solve_kernel(model, grid, T, obs_operational, adjoint)
 
 
 def _diffusion_diagonals(A: sp.spmatrix, n: int):
@@ -167,66 +178,76 @@ def _diffusion_diagonals(A: sp.spmatrix, n: int):
     return lower, main, upper
 
 
-def _solve_clock(model, grid, T, obs, adjoint, dtau_max, clamp_negative):
+def _solve_clock(model, grid, T, obs, adjoint):
+    """Crank-Nicolson along the clock T, the one stepper of every grid Zakai solve.
+
+    Real-time step k covers dT_k in ceil(dT_k / _DTAU_MAX) equal chunks (none on
+    a plateau).  A chunk of operational length d maps u to
+    2 (I - d/2 A)^-1 (u + d/2 A_J u) - u, which is (I - d/2 A)^-1 (I + d/2 A) u
+    plus the explicit step of the bounded state-jump operator A_J, and then
+    multiplies by exp(h dV - 0.5 |h|^2 d).  When every chunk has the same
+    length (to 1e-9 relative, the rounding of a uniform grid), I - d/2 A is
+    factored once; otherwise each chunk is one banded solve.  Negative
+    undershoots are clamped to zero after each real-time step.
+    """
     x = grid.nodes
     n = grid.n_nodes
-    times = T.times
-    M = len(times) - 1
     h = model.h_matrix(x)
     hsq = 0.5 * np.sum(h * h, axis=1)
 
     has_jumps = model.jumps is not None and model.jumps.state_jump_map is not None \
         and model.jumps.intensity > 0.0
     if has_jumps:
-        A_diff = adjoint_matrix(model, grid, include_jumps=False)
+        A = adjoint_matrix(model, grid, include_jumps=False)
         A_jump = jump_generator_matrix(model, grid).T.tocsr()
     else:
-        A_diff = adjoint_matrix(model, grid, include_jumps=False) if adjoint is None else adjoint
-    lower, main, upper = _diffusion_diagonals(A_diff, n)
+        A = adjoint_matrix(model, grid, include_jumps=False) if adjoint is None else adjoint
+    lower, main, upper = _diffusion_diagonals(A, n)
 
-    ab = np.zeros((3, n))
+    # every chunk of the solve at once: step k owns chunks first[k]:first[k + 1],
+    # whose edges are the points of linspace(T_k, T_{k+1}, n_sub[k] + 1); the
+    # 1e-9 keeps a step that rounds a few ulp above a multiple of _DTAU_MAX
+    # (0.06 - 0.04, say) from taking one extra chunk
+    dtau = np.diff(T.values)
+    n_sub = np.where(dtau > 0.0, np.maximum(np.ceil(dtau / _DTAU_MAX - 1e-9), 1.0), 0.0)
+    n_sub = n_sub.astype(int)
+    first = np.concatenate(([0], np.cumsum(n_sub)))
+    owner = np.repeat(np.arange(dtau.size), n_sub)
+    j = np.arange(first[-1]) - first[owner]
+    edges = np.append(T.values[owner] + j * (dtau / np.maximum(n_sub, 1))[owner], T.values[-1])
+    delta = np.diff(edges)
+    dV = _time_changed_increments(obs, edges)
+
+    lu = None
+    if delta.size and np.allclose(delta, delta[0], rtol=1e-9, atol=0.0):
+        lu = splu(sp.csc_matrix(sp.identity(n) - 0.5 * delta[0] * A))
+    else:
+        eye_band = np.zeros((3, n))
+        eye_band[1] = 1.0
+        band = np.array([np.r_[0.0, upper[1:]], main, np.r_[lower[:-1], 0.0]])
+
     u = np.maximum(np.asarray(model.p0(x), dtype=float), 0.0)
-    Phi = np.empty((M + 1, n))
+    Phi = np.empty((len(T.times), n))
     Phi[0] = u
     clamped = 0.0
-
-    def cn_chunk(u, dtau, dv):
-        # Crank-Nicolson over one operational chunk, then the observation factor
-        half = 0.5 * dtau
-        rhs = u.copy()
-        rhs[:-1] += half * upper[1:] * u[1:]
-        rhs += half * main * u
-        rhs[1:] += half * lower[:-1] * u[:-1]
-        if has_jumps:
-            rhs += dtau * (A_jump @ u)      # bounded operator, explicit split
-        ab[0, 1:] = -half * upper[1:]
-        ab[1, :] = 1.0 - half * main
-        ab[2, :-1] = -half * lower[:-1]
-        out = solve_banded((1, 1), ab, rhs)
-        return out * np.exp(h @ dv - hsq * dtau)
-
-    for k in range(M):
-        tau0, tau1 = float(T.values[k]), float(T.values[k + 1])
-        dtau = tau1 - tau0
-        if dtau <= 0.0:
-            Phi[k + 1] = u          # clock plateau: nothing evolves, factor is 1
-            continue
-        n_sub = max(1, int(np.ceil(dtau / dtau_max)))
-        sub_tau = np.linspace(tau0, tau1, n_sub + 1)
-        zvals = _time_changed_values(obs, sub_tau)
-        for j in range(n_sub):
-            u = cn_chunk(u, sub_tau[j + 1] - sub_tau[j], zvals[j + 1] - zvals[j])
-        if clamp_negative:
-            neg = u < 0.0
-            if neg.any():
-                clamped += float(-u[neg].sum() * grid.spacing)
-                u = np.where(neg, 0.0, u)
+    for k in range(dtau.size):
+        for c in range(first[k], first[k + 1]):
+            rhs = u + (0.5 * delta[c]) * (A_jump @ u) if has_jumps else u
+            if lu is not None:
+                v = lu.solve(rhs)
+            else:
+                v = solve_banded((1, 1), eye_band - (0.5 * delta[c]) * band, rhs,
+                                 check_finite=False)
+            u = (2.0 * v - u) * np.exp(h @ dV[c] - hsq * delta[c])
+        neg = u < 0.0
+        if neg.any():
+            clamped += float(-u[neg].sum() * grid.spacing)
+            u = np.where(neg, 0.0, u)
         Phi[k + 1] = u
-    return FractionalFilterGrid(grid=grid, times=times.copy(), values=Phi,
-                                beta=model.beta, inverse_path=T, clamped_mass=clamped)
+    return FilterDensityGrid(grid=grid, times=T.times.copy(), values=Phi, clamped_mass=clamped)
 
 
-def _solve_kernel(model, grid, T, obs, adjoint, clamp_negative):
+def _solve_kernel(model, grid, T, obs, adjoint):
     beta = model.beta
     times = T.times
     dt = T.step
@@ -241,8 +262,7 @@ def _solve_kernel(model, grid, T, obs, adjoint, clamp_negative):
     x = grid.nodes
     n = grid.n_nodes
     h = model.h_matrix(x)
-    V = _time_changed_values(obs, T.values)
-    dV = np.diff(V, axis=0)
+    dV = _time_changed_increments(obs, T.values)
 
     P, Q = trapezoid_weights(beta, max(M, 1), dt)
     gamma_beta = _gamma(beta)
@@ -266,14 +286,12 @@ def _solve_kernel(model, grid, T, obs, adjoint, clamp_negative):
         memory = (wts[:nw] @ hist[:nw] + wts[nw] * hist[k]) / gamma_beta
         obs_acc = obs_acc + (h @ dV[k]) * Phi[k]
         u = p0 + memory + obs_acc
-        if clamp_negative:
-            neg = u < 0.0
-            if neg.any():
-                clamped += float(-u[neg].sum() * grid.spacing)
-                u[neg] = 0.0
+        neg = u < 0.0
+        if neg.any():
+            clamped += float(-u[neg].sum() * grid.spacing)
+            u[neg] = 0.0
         Phi[k + 1] = u
-    return FractionalFilterGrid(grid=grid, times=times.copy(), values=Phi,
-                                beta=beta, inverse_path=T, clamped_mass=clamped)
+    return FilterDensityGrid(grid=grid, times=times.copy(), values=Phi, clamped_mass=clamped)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +311,8 @@ def subordinate_filter(
     by trapezoid over the solution's operational grid, and raises when the
     weight mass beyond the stored horizon exceeds tail_tol.
 
-    Stochastic case (an iterable of FractionalFilterGrid solves, or of
-    (InversePath, FilterDensityGrid) pairs): returns the ensemble average of
-    the pathwise profiles at real time t.
+    Stochastic case (an iterable of clock-mode solves, each on its own clock):
+    returns the ensemble average of their profiles at real time t.
     """
     if isinstance(classical_solutions, FilterDensityGrid):
         U = classical_solutions
@@ -315,15 +332,7 @@ def subordinate_filter(
     members = list(classical_solutions)
     if not members:
         raise ValueError("need at least one ensemble member")
-    acc = None
-    for item in members:
-        if isinstance(item, FractionalFilterGrid):
-            prof = item.at_time(float(t))
-        else:
-            T, U = item
-            prof = U.at_time(float(T.at(t)))
-        acc = prof if acc is None else acc + prof
-    return acc / len(members)
+    return sum(Phi.at_time(float(t)) for Phi in members) / len(members)
 
 
 def l1_distance(grid: SpatialGrid, u: np.ndarray, v: np.ndarray) -> float:
@@ -331,7 +340,7 @@ def l1_distance(grid: SpatialGrid, u: np.ndarray, v: np.ndarray) -> float:
 
 
 def pathwise_oracle_report(
-    Phi: FractionalFilterGrid,
+    Phi: FilterDensityGrid,
     U: FilterDensityGrid,
     T: InversePath,
     checkpoints: Sequence[float],

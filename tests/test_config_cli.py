@@ -148,6 +148,27 @@ class TestRunner:
         assert lines[0] == "checkpoint,tau,l1,sup"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("kind,keys", [
+        ("frac-zakai", ["clamped_mass"]),
+        ("oracle", ["clamped_mass", "classical_clamped_mass"]),
+    ])
+    def test_clock_runs_report_clamped_mass(self, tmp_path, kind, keys):
+        cfg = parse_config(
+            f"run = {kind}\nbeta = 0.5\nseed = 4242\nhorizon = 0.25\nstep = 2e-3\n"
+            "grid.cells = 32\ncheckpoints = 0.1 0.25\n"
+        )
+        cfg.out_dir = str(tmp_path / "out")
+        status, files = run_experiment(cfg)
+        assert status == 0
+        summary = dict(line.split(" = ", 1) for line in
+                       (tmp_path / "out" / "run_summary.txt").read_text().splitlines())
+        for key in keys:
+            assert float(summary[key]) >= 0.0
+        # the CSVs, which must repeat byte for byte, carry no diagnostics
+        for f in files:
+            if f.endswith(".csv"):
+                assert "clamped" not in open(f).readline()
+
     def test_env_var_overrides_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "env_out"
         monkeypatch.setenv("FRACFILT_OUT", str(target))

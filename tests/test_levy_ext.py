@@ -312,6 +312,26 @@ class TestJumpObservationFilter:
         with pytest.raises(ValueError, match="log undefined"):
             levy_ext.fractional_filter_jump_obs(m, T, obs, lambda x: x, 200, seed=78)
 
+    def test_event_where_some_particles_have_zero_rate(self):
+        # lam = 2 1{x > 0}: particles at x <= 0 cannot have produced the event
+        # and drop to weight 0; the compensator accepts lam = 0 at the nodes
+        step = 1e-2
+        base = named_model("ou-linear", 0.5)
+        m = ModelSpec(
+            drift=base.drift, sigma=base.sigma, observation=base.observation,
+            beta=0.5, p0=base.p0,
+            jumps=JumpSpec(intensity=2.0, atoms=[(1.0, 1.0)],
+                           obs_rate=lambda t, x, w: 2.0 * (np.asanyarray(x, dtype=float) > 0.0)),
+        )
+        T = unit_slope_inverse(1.0, step)
+        obs = levy_ext.JumpObservationRecord(times=T.times, values=np.zeros(len(T.times)),
+                                             events=((0.505, 1.0),))
+        with np.errstate(all="raise"):
+            res = levy_ext.fractional_filter_jump_obs(m, T, obs, lambda x: x, 200, seed=78)
+        after = int(np.searchsorted(T.times, 0.505))
+        assert np.all(np.isfinite(res.posterior))
+        assert res.posterior[after] > 0.0
+
     def test_memory_peak_stays_below_twice_the_noise_array(self):
         # the (particles, steps) noise array is the only allocation that grows
         # with both sizes; state, weights and residual sums are per particle

@@ -92,6 +92,20 @@ class TestNormalize:
         dens, _ = normalize(U, 0.0)
         assert dens[4] == pytest.approx(1.0 / grid.spacing)
 
+    def test_at_time_outside_stored_times_raises(self):
+        from fracfilt.zakai_classical import FilterDensityGrid
+        grid = SpatialGrid(-1.0, 1.0, 10)
+        times = 0.1 * np.arange(4)
+        U = FilterDensityGrid(grid=grid, times=times,
+                              values=np.outer(np.arange(1.0, 5.0), np.ones(grid.n_nodes)))
+        assert np.all(U.at_time(0.15) == 2.5)
+        # a query one ulp past either end is the end row
+        assert np.all(U.at_time(np.nextafter(times[-1], 1.0)) == 4.0)
+        assert np.all(U.at_time(-1e-17) == 1.0)
+        for t in (-1e-6, times[-1] + 1e-6, 2.0):
+            with pytest.raises(ValueError, match="outside"):
+                U.at_time(t)
+
     def test_vanished_mass_raises(self):
         from fracfilt.zakai_classical import FilterDensityGrid
         grid = SpatialGrid(-1.0, 1.0, 10)

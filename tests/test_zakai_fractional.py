@@ -55,8 +55,37 @@ class TestClockMode:
         U = solve_zakai(model, GRID, Z)
         T = unit_slope_inverse(1.0, step)
         Phi = solve_fractional_zakai(model, GRID, T, Z)
-        k = len(T.times) - 1
-        assert l1_distance(GRID, Phi.values[k], U.values[k]) < 1e-9
+        assert np.array_equal(Phi.values, U.values[: len(T.times)])
+
+    def test_chunked_plateau_clock_matches_classical_steps(self, monkeypatch):
+        # clock steps of 0.1 take five CN chunks of 0.02 each, a plateau takes
+        # none; solve_zakai at step 0.02 visits the same operational times.
+        # The uniform clock factors once; one extra step of 0.01 makes the
+        # chunks unequal, so every chunk goes through a banded solve instead
+        import fracfilt.zakai_fractional as zf
+        calls = []
+        banded = zf.solve_banded
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return banded(*args, **kwargs)
+
+        monkeypatch.setattr(zf, "solve_banded", counted)
+        model = relaxing_ou()
+        _, Z = simulate_classical_pair(model, 0.82, 0.02, seed=52)
+        U = solve_zakai(model, GRID, Z)
+        assert calls == []
+        vals = np.array([0.0, 0.1, 0.2, 0.2, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
+        rows = U.values[np.rint(vals / 0.02).astype(int)]
+        scale = np.max(np.abs(rows))
+        uniform = InversePath(times=np.linspace(0.0, 1.0, 11), values=vals)
+        Phi = solve_fractional_zakai(model, GRID, uniform, Z)
+        assert calls == []
+        assert np.max(np.abs(Phi.values - rows)) < 1e-12 * scale
+        ragged = InversePath(times=np.linspace(0.0, 1.1, 12), values=np.append(vals, 0.81))
+        Phi = solve_fractional_zakai(model, GRID, ragged, Z)
+        assert len(calls) == 8 * 5 + 1
+        assert np.max(np.abs(Phi.values[:-1] - rows)) < 1e-12 * scale
 
     def test_plateau_dormancy(self):
         model = relaxing_ou()
