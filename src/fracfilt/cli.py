@@ -250,7 +250,7 @@ def _run_jump_filter(cfg, out):
 
 
 def _run_benchmark(cfg, out):
-    from .subordinator import stable_density, sample_standard_stable
+    from .subordinator import _series_switch, sample_standard_stable, stable_density
     rows = []
 
     def clock(name, fn, reps=3):
@@ -258,7 +258,13 @@ def _run_benchmark(cfg, out):
         rows.append((name, best))
 
     rng = np.random.Generator(np.random.Philox(key=1))
-    clock("stable_density_10k_points", lambda: stable_density(cfg.beta, np.linspace(0.05, 20, 10_000)))
+    # each stable_density branch on its own: u below the switch point takes the
+    # integral branch, u from it upward the series
+    switch = _series_switch(cfg.beta)
+    below = np.linspace(0.05, switch, 10_000, endpoint=False)
+    above = switch * np.linspace(1.0, 10.0, 10_000)
+    clock("stable_density_integral_10k_points", lambda: stable_density(cfg.beta, below))
+    clock("stable_density_series_10k_points", lambda: stable_density(cfg.beta, above))
     clock("stable_sampler_1e6", lambda: sample_standard_stable(cfg.beta, 1_000_000, rng))
     model = _build_model(cfg)
     grid = _grid(cfg)

@@ -13,6 +13,7 @@ random clock used by the time-changed filtering models.  This module provides
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -41,6 +42,11 @@ _LOG_TINY = 708.0
 
 # Gauss-Legendre order per quadrature segment of the density integral
 _GL_ORDER = 32
+_GL_NODES, _GL_WEIGHTS = roots_legendre(_GL_ORDER)
+
+# points per (block, segments, nodes) array of the density integral; 128 keeps
+# each temporary near half a megabyte
+_BLOCK = 128
 
 # segment breakpoints in w = (a(phi) - a(0)) * u**(-beta/(1-beta)) space; the
 # integrand a * exp(-w) varies by a bounded factor inside each segment, so a
@@ -55,6 +61,11 @@ def _check_beta(beta: float) -> float:
     if not 0.0 < beta < 1.0:
         raise ValueError(f"stability index beta must lie in (0, 1), got {beta}")
     return beta
+
+
+def _check_time(t: float) -> None:
+    if not t > 0.0:
+        raise ValueError(f"t must be positive, got {t}")
 
 
 @dataclass(frozen=True)
@@ -130,6 +141,23 @@ def _log_kanter_a(phi: np.ndarray, beta: float) -> np.ndarray:
     return (beta / (1.0 - beta)) * (np.log(np.sin(beta * phi)) - ls) + np.log(
         np.sin((1.0 - beta) * phi)
     ) - ls
+
+
+@lru_cache(maxsize=16)
+def _log_a_table(beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Strictly increasing (log a(phi), phi) on [eps, pi - eps], clustered toward pi.
+
+    log a diverges at pi, so the quartic map puts most of the 4096 points near
+    it, and 200 geometric points fill the last 1e-2 on a log scale.  Inverting
+    with np.interp gives the phi at which log a reaches a target.
+    """
+    eps = 1e-9
+    t = np.linspace(0.0, 1.0, 4096)
+    phi = np.union1d(eps + (np.pi - 2.0 * eps) * (1.0 - (1.0 - t) ** 4),
+                     np.pi - np.geomspace(1e-2, eps, 200))
+    log_a = _log_kanter_a(phi, beta)
+    log_a.flags.writeable = phi.flags.writeable = False
+    return log_a, phi
 
 
 def _a_zero(beta: float) -> float:
@@ -236,6 +264,9 @@ def _stable_density_integral(u: np.ndarray, beta: float) -> np.ndarray:
     The exponent is factored as exp(-a0 y) * exp(-(a - a0) y), and (0, pi) is cut at
     the points where (a - a0) y crosses _W_BREAKS, so the integrand varies by a
     bounded factor per segment regardless of where the concentration layer sits.
+    The cut points are read off the per-beta table of log a(phi) by linear
+    interpolation; they are approximate, which the GL rule on each segment allows.
+    Points are integrated _BLOCK at a time, all segments and nodes at once.
     """
     with np.errstate(over="ignore"):
         y = u ** (-beta / (1.0 - beta))
@@ -247,36 +278,22 @@ def _stable_density_integral(u: np.ndarray, beta: float) -> np.ndarray:
     if not live.any():
         return out
     yl = y[live]
-    npts = yl.size
-    eps = 1e-9
-    log_a_max = _log_kanter_a(np.asarray(np.pi - eps), beta)
+    log_a_tab, phi_tab = _log_a_table(beta)
 
-    bks = np.empty((_W_BREAKS.size + 2, npts))
-    bks[0] = 0.0
-    bks[-1] = np.pi
-    for i, w in enumerate(_W_BREAKS):
-        log_target = np.log(a0 + w / yl)
-        reach = log_target < log_a_max
-        lo = np.full(npts, eps)
-        hi = np.full(npts, np.pi - eps)
-        for _ in range(44):
-            mid = 0.5 * (lo + hi)
-            gt = _log_kanter_a(mid, beta) > log_target
-            hi = np.where(gt, mid, hi)
-            lo = np.where(gt, lo, mid)
-        bks[i + 1] = np.where(reach, 0.5 * (lo + hi), np.pi)
-
-    nodes, wts = roots_legendre(_GL_ORDER)
-    total = np.zeros(npts)
-    for k in range(bks.shape[0] - 1):
-        lo_, hi_ = bks[k], bks[k + 1]
-        half = 0.5 * (hi_ - lo_)
-        phi = 0.5 * (hi_ + lo_)[:, None] + half[:, None] * nodes
-        log_a = _log_kanter_a(phi, beta)
-        a = np.exp(np.minimum(log_a, _LOG_TINY))
-        w = (a - a0) * yl[:, None]
+    total = np.empty(yl.size)
+    for s in range(0, yl.size, _BLOCK):
+        yb = yl[s:s + _BLOCK, None]
+        log_target = np.log(a0 + _W_BREAKS / yb)
+        inner = np.where(log_target < log_a_tab[-1],
+                         np.interp(log_target, log_a_tab, phi_tab), np.pi)
+        bks = np.pad(inner, ((0, 0), (1, 1)), constant_values=(0.0, np.pi))
+        lo, hi = bks[:, :-1], bks[:, 1:]
+        half = 0.5 * (hi - lo)
+        phi = (0.5 * (hi + lo))[..., None] + half[..., None] * _GL_NODES
+        a = np.exp(np.minimum(_log_kanter_a(phi, beta), _LOG_TINY))
+        w = (a - a0) * yb[..., None]
         integ = np.where(w > _LOG_TINY, 0.0, a * np.exp(-np.minimum(w, _LOG_TINY)))
-        total += half * (integ * wts).sum(axis=1)
+        total[s:s + _BLOCK] = ((integ @ _GL_WEIGHTS) * half).sum(axis=1)
     pref = beta / ((1.0 - beta) * np.pi)
     out[live] = pref * u[live] ** (-1.0 / (1.0 - beta)) * np.exp(-a0 * yl) * total
     return out
@@ -295,6 +312,11 @@ def _stable_density_series(u: np.ndarray, beta: float, kmax: int = 260) -> np.nd
     return (sgn * np.exp(np.minimum(arg, 700.0))).sum(axis=-1) / np.pi
 
 
+def _series_switch(beta: float) -> float:
+    # smallest u on the series branch: u**(-beta) = 0.7 there
+    return 0.7 ** (-1.0 / beta)
+
+
 def stable_density(beta: float, u) -> np.ndarray | float:
     """Density f of D_1 (Laplace transform exp(-s**beta)) at u > 0.
 
@@ -308,7 +330,7 @@ def stable_density(beta: float, u) -> np.ndarray | float:
     if np.any(u_arr <= 0.0):
         raise ValueError("stable_density requires u > 0")
     out = np.empty_like(u_arr)
-    switch = 0.7 ** (-1.0 / beta)
+    switch = _series_switch(beta)
     with np.errstate(over="ignore", under="ignore"):
         y = u_arr ** (-beta / (1.0 - beta))
     big = (u_arr >= switch) | ((u_arr > 1.0) & (y == 0.0))
@@ -379,6 +401,7 @@ def tail_bound(beta: float, t: float, tau) -> np.ndarray | float:
     Used to truncate integrals over tau once the bound drops below tolerance.
     """
     beta = _check_beta(beta)
+    _check_time(t)
     tau = np.asarray(tau, dtype=float)
     c = _a_zero(beta)
     expo = c * tau ** (1.0 / (1.0 - beta)) / t ** (beta / (1.0 - beta))
@@ -390,9 +413,14 @@ def tail_bound(beta: float, t: float, tau) -> np.ndarray | float:
 
 def tau_cutoff(beta: float, t: float, tol: float = 1e-12) -> float:
     """Smallest tau beyond which tail_bound(beta, t, tau) < tol."""
+    beta = _check_beta(beta)
+    _check_time(t)
+    if tol <= 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     c = _a_zero(beta)
     pref = 10.0 * (1.0 + t ** (-beta) / gamma(1.0 - beta))
-    return float((np.log(pref / tol) / c) ** (1.0 - beta) * t ** beta)
+    # a tol at or above the bound's value at tau = 0 is met everywhere
+    return float((max(np.log(pref / tol), 0.0) / c) ** (1.0 - beta) * t ** beta)
 
 
 def laplace_identity_residual(beta: float, tau: float, s_grid) -> float:

@@ -169,6 +169,16 @@ class TestRunner:
             if f.endswith(".csv"):
                 assert "clamped" not in open(f).readline()
 
+    def test_benchmark_run_times_each_density_branch(self, tmp_path):
+        cfg = parse_config("run = benchmark\nbeta = 0.5\n")
+        cfg.out_dir = str(tmp_path / "out")
+        status, files = run_experiment(cfg)
+        assert status == 0
+        lines = (tmp_path / "out" / "benchmark.csv").read_text().splitlines()
+        seconds = dict(line.split(",") for line in lines[1:])
+        for row in ("stable_density_integral_10k_points", "stable_density_series_10k_points"):
+            assert float(seconds[row]) > 0.0
+
     def test_env_var_overrides_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "env_out"
         monkeypatch.setenv("FRACFILT_OUT", str(target))

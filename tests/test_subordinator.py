@@ -4,6 +4,7 @@ from scipy import stats
 from scipy.integrate import quad
 from scipy.special import gamma
 
+from fracfilt import subordinator
 from fracfilt.subordinator import (
     DensityQuery,
     InversePath,
@@ -185,9 +186,35 @@ class TestStableDensity:
         assert stable_density(0.8, 1e-4) == 0.0
 
     def test_cdf_consistent_with_density(self):
-        for beta in (0.4, 0.6):
+        for beta in (0.1, 0.4, 0.6, 0.9):
             val, _ = quad(lambda x: stable_density(beta, x), 0.0, 2.0, limit=200)
             assert stable_cdf(beta, 2.0) == pytest.approx(val, abs=1e-8)
+
+    def test_half_stable_closed_form_dense_on_integral_branch(self):
+        u = np.geomspace(0.01, subordinator._series_switch(0.5), 2000, endpoint=False)
+        exact = closed_form_half_density(u)
+        got = stable_density(0.5, u)
+        resolved = exact > 1e-300
+        assert resolved.sum() > 1900
+        assert np.max(np.abs(got[resolved] - exact[resolved]) / exact[resolved]) < 1e-12
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
+    def test_batch_equals_point_by_point(self, beta):
+        # 300 points span several evaluation blocks; blocking must not change values
+        u = np.geomspace(0.01, 0.999 * subordinator._series_switch(beta), 300)
+        batch = stable_density(beta, u)
+        single = np.array([stable_density(beta, x) for x in u])
+        assert np.array_equal(batch == 0.0, single == 0.0)
+        live = single != 0.0
+        assert live.sum() > 100
+        assert np.max(np.abs(batch[live] - single[live]) / single[live]) <= 1e-14
+
+    @pytest.mark.parametrize("beta", [0.02, 0.5, 0.99])
+    def test_log_a_table_strictly_increasing(self, beta):
+        log_a, phi = subordinator._log_a_table(beta)
+        assert np.all(np.diff(phi) > 0.0)
+        assert np.all(np.diff(log_a) > 0.0)
+        assert phi[0] > 0.0 and phi[-1] < np.pi
 
 
 class TestInverseDensity:
@@ -216,6 +243,20 @@ class TestInverseDensity:
         tau_big = tau_cutoff(0.5, 1.0, 1e-9)
         assert inverse_density(DensityQuery(0.5, 1.0, tau_big)) < 1e-8
         assert tail_bound(0.5, 1.0, tau_big) < 1e-8
+
+    @pytest.mark.parametrize("beta,t", [(1.2, 1.0), (0.0, 1.0), (0.5, -1.0), (0.5, 0.0)])
+    def test_bound_helpers_reject_bad_beta_and_t(self, beta, t):
+        with pytest.raises(ValueError):
+            tau_cutoff(beta, t)
+        with pytest.raises(ValueError):
+            tail_bound(beta, t, 1.0)
+
+    def test_tau_cutoff_tolerance(self):
+        for tol in (0.0, -1e-9):
+            with pytest.raises(ValueError):
+                tau_cutoff(0.5, 1.0, tol)
+        # a tolerance above the bound's tau = 0 value is met from tau = 0 on
+        assert tau_cutoff(0.5, 1.0, 1e3) == 0.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
