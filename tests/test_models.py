@@ -5,11 +5,8 @@ from fracfilt.models import (
     JumpSpec,
     ModelSpec,
     SpatialGrid,
-    adjoint_apply,
     adjoint_matrix,
     gaussian_density,
-    generator_apply,
-    generator_matrix,
     named_model,
 )
 
@@ -23,7 +20,7 @@ GRID = SpatialGrid(-6.0, 6.0, 1200)  # spacing 0.01
 
 class TestGenerator:
     def test_constants_are_killed(self):
-        out = generator_apply(ou_model(), GRID, np.ones(GRID.n_nodes))
+        out = adjoint_matrix(ou_model(), GRID).T @ np.ones(GRID.n_nodes)
         assert np.max(np.abs(out[1:-1])) == 0.0
 
     def test_pure_diffusion_on_square(self):
@@ -34,13 +31,13 @@ class TestGenerator:
             beta=0.5,
             p0=gaussian_density(0.0, 1.0),
         )
-        out = generator_apply(model, GRID, GRID.nodes ** 2)
+        out = adjoint_matrix(model, GRID).T @ (GRID.nodes ** 2)
         assert np.max(np.abs(out[1:-1] - 1.0)) < 1e-8
 
     def test_ou_on_square(self):
         grid = SpatialGrid(-6.0, 6.0, 1200)
         x = grid.nodes
-        out = generator_apply(ou_model(), grid, x ** 2)
+        out = adjoint_matrix(ou_model(), grid).T @ (x ** 2)
         target = 2.0 - 2.0 * x ** 2
         assert np.max(np.abs(out[1:-1] - target[1:-1])) < 1e-6
 
@@ -49,11 +46,11 @@ class TestAdjoint:
     def test_mass_conservation_any_density(self):
         x = GRID.nodes
         p = np.exp(-0.5 * (x - 0.7) ** 2)
-        out = adjoint_apply(ou_model(), GRID, p)
+        out = adjoint_matrix(ou_model(), GRID) @ p
         assert abs(np.sum(out) * GRID.spacing) < 1e-10
         # and for a density supported away from the walls
         p2 = np.where(np.abs(x) < 3.0, np.cos(x) ** 2, 0.0)
-        out2 = adjoint_apply(ou_model(), GRID, p2)
+        out2 = adjoint_matrix(ou_model(), GRID) @ p2
         assert abs(np.sum(out2) * GRID.spacing) < 1e-10
 
     def test_duality_inner_products(self):
@@ -61,21 +58,15 @@ class TestAdjoint:
         bump = lambda c: np.where(np.abs(x - c) < 2.0, np.exp(-1.0 / (1e-9 + 4.0 - (x - c) ** 2)), 0.0)
         phi, p = bump(0.5), bump(-0.3)
         m = ou_model()
-        lhs = np.sum(generator_apply(m, GRID, phi) * p) * GRID.spacing
-        rhs = np.sum(phi * adjoint_apply(m, GRID, p)) * GRID.spacing
+        lhs = np.sum((adjoint_matrix(m, GRID).T @ phi) * p) * GRID.spacing
+        rhs = np.sum(phi * (adjoint_matrix(m, GRID) @ p)) * GRID.spacing
         assert abs(lhs - rhs) < 1e-8
 
     def test_ou_stationary_density_is_annihilated(self):
         x = GRID.nodes
         p = np.exp(-0.5 * x ** 2) / np.sqrt(2.0 * np.pi)
-        out = adjoint_apply(ou_model(), GRID, p)
+        out = adjoint_matrix(ou_model(), GRID) @ p
         assert np.max(np.abs(out)) < 1e-3
-
-    def test_exact_transpose_identity(self):
-        grid = SpatialGrid(-4.0, 4.0, 64)
-        A = generator_matrix(ou_model(), grid).toarray()
-        Astar = adjoint_matrix(ou_model(), grid).toarray()
-        assert np.array_equal(A.T, Astar)
 
 
 class TestJumps:
@@ -91,8 +82,8 @@ class TestJumps:
     def test_zero_intensity_reduces_to_diffusion(self):
         grid = SpatialGrid(-4.0, 4.0, 64)
         phi = np.tanh(grid.nodes)
-        with_j = generator_apply(self.jump_model(lam0=0.0), grid, phi)
-        without = generator_apply(ou_model(), grid, phi)
+        with_j = adjoint_matrix(self.jump_model(lam0=0.0), grid).T @ phi
+        without = adjoint_matrix(ou_model(), grid).T @ phi
         assert np.array_equal(with_j, without)
 
     def test_jump_term_value(self):
@@ -100,31 +91,17 @@ class TestJumps:
         m = self.jump_model(lam0=2.0)
         x = grid.nodes
         phi = x ** 2
-        out = generator_apply(m, grid, phi)
+        out = adjoint_matrix(m, grid).T @ phi
         # A phi + lam0 * mean_w[(x+w)^2 - x^2] = diffusion part + lam0 * w^2;
         # exclude the jump-width margin where targets are clamped to the walls
-        diff_part = generator_apply(ou_model(), grid, phi)
+        diff_part = adjoint_matrix(ou_model(), grid).T @ phi
         inner = slice(50, -50)
         assert np.max(np.abs(out[inner] - diff_part[inner] - 2.0 * 0.4 ** 2)) < 1e-9
-
-    def test_jump_adjoint_transpose(self):
-        grid = SpatialGrid(-4.0, 4.0, 128)
-        m = self.jump_model()
-        A = generator_matrix(m, grid).toarray()
-        Astar = adjoint_matrix(m, grid).toarray()
-        assert np.max(np.abs(A.T - Astar)) < 1e-14
-        # duality on compactly supported vectors
-        x = grid.nodes
-        phi = np.where(np.abs(x) < 2.0, np.cos(x), 0.0)
-        p = np.where(np.abs(x + 1.0) < 1.5, np.exp(-x ** 2), 0.0)
-        lhs = float((A @ phi) @ p) * grid.spacing
-        rhs = float(phi @ (Astar @ p)) * grid.spacing
-        assert abs(lhs - rhs) < 1e-8
 
     def test_jump_adjoint_conserves_mass(self):
         grid = SpatialGrid(-4.0, 4.0, 128)
         p = np.exp(-grid.nodes ** 2)
-        out = adjoint_apply(self.jump_model(), grid, p)
+        out = adjoint_matrix(self.jump_model(), grid) @ p
         assert abs(np.sum(out) * grid.spacing) < 1e-10
 
     def test_atom_probabilities_validated(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracfilt.models import ModelSpec, gaussian_density, named_model
+from fracfilt.models import JumpSpec, ModelSpec, gaussian_density, named_model
 from fracfilt.sde_sim import (
     ObservationRecord,
     StatePath,
@@ -12,7 +12,7 @@ from fracfilt.sde_sim import (
     simulate_time_changed_state_direct,
     time_change_pair,
 )
-from fracfilt.subordinator import InversePath, sample_stable_path, invert_path
+from fracfilt.subordinator import InversePath, sample_inverse_path
 
 
 def flat_model(h=0.0, sig=1.0):
@@ -92,13 +92,7 @@ class TestTimeChange:
         m = flat_model()
         xs = []
         for i in range(4000):
-            op_horizon = 4.0
-            while True:
-                D = sample_stable_path(0.5, op_horizon, 0.02, seed=rng_seed + i)
-                if D.horizon_reached >= 1.0:
-                    break
-                op_horizon *= 2.0
-            T = invert_path(D, np.linspace(0.0, 1.0, 51))
+            _, T = sample_inverse_path(0.5, 1.0, 0.02, seed=rng_seed + i, n_nodes=51)
             tau_max = float(T.values[-1])
             times, Y, Z = simulate_classical_ensemble(
                 m, tau_max * 1.02 + 0.02, 0.02, seed=10_000 + i, n_paths=1,
@@ -155,13 +149,7 @@ class TestDirectTimeChanged:
         direct = []
         composed = []
         for i in range(3000):
-            op_horizon = 4.0
-            while True:
-                D = sample_stable_path(0.5, op_horizon, 0.02, seed=500 + i)
-                if D.horizon_reached >= 1.0:
-                    break
-                op_horizon *= 2.0
-            T = invert_path(D, np.linspace(0.0, 1.0, 51))
+            _, T = sample_inverse_path(0.5, 1.0, 0.02, seed=500 + i, n_nodes=51)
             X = simulate_time_changed_state_direct(m, T, seed=40_000 + i)
             direct.append(X.values[-1])
             tau_max = float(T.values[-1])
@@ -184,20 +172,60 @@ class TestLikelihood:
         assert np.all(L.values == 1.0)
 
     def test_martingale_mean_under_reference(self):
-        # Z simulated as pure Brownian noise; E[Lambda_t] = 1
+        # under the reference measure Z is a Brownian motion independent of Y,
+        # so E[Lambda_1] = 1
         m = named_model("ou-linear", 0.5)
-        rng = np.random.Generator(np.random.Philox(key=99))
-        n, steps = 100_000, 100
-        dt = 1.0 / steps
-        y = rng.normal(0.0, 1.0, n)
-        logw = np.zeros(n)
-        for _ in range(steps):
-            dz = np.sqrt(dt) * rng.standard_normal(n)
-            logw += y * dz - 0.5 * y * y * dt
-            y += -y * dt + np.sqrt(2.0 * dt) * rng.standard_normal(n)
-        w = np.exp(logw)
+        n, step = 4000, 1e-2
+        times, Y, _ = simulate_classical_ensemble(m, 1.0, step, seed=99, n_paths=n,
+                                                  with_observation=False)
+        rng = np.random.Generator(np.random.Philox(key=98))
+        dZ = np.sqrt(step) * rng.standard_normal((n, len(times) - 1))
+        Z = np.concatenate((np.zeros((n, 1)), np.cumsum(dZ, axis=1)), axis=1)
+        w = np.array([
+            likelihood_path(m, StatePath(times, Y[i]), ObservationRecord(times, Z[i])).values[-1]
+            for i in range(n)
+        ])
         se = w.std(ddof=1) / np.sqrt(n)
         assert abs(w.mean() - 1.0) < 3.0 * se
+
+    def test_model_without_rate_channel_gives_continuous_part(self):
+        # a state-jump-only model carries no observation-jump channel
+        base = named_model("ou-linear", 0.5)
+        m = ModelSpec(drift=base.drift, sigma=base.sigma, observation=base.observation,
+                      beta=0.5, p0=base.p0,
+                      jumps=JumpSpec(intensity=2.0, atoms=[(0.3, 1.0)],
+                                     state_jump_map=lambda x, w: np.full_like(x, w)))
+        Y, Z = simulate_classical_pair(base, 1.0, 1e-2, seed=24)
+        h = Y.values[:-1]
+        hand = np.exp(np.concatenate(([0.0], np.cumsum(h * np.diff(Z.values) - 0.5 * h * h * 1e-2))))
+        for model in (base, m):
+            assert np.allclose(likelihood_path(model, Y, Z).values, hand, rtol=1e-12, atol=0.0)
+
+    def test_events_without_rate_channel_raise(self):
+        m = named_model("ou-linear", 0.5)
+        Y, Z = simulate_classical_pair(m, 1.0, 1e-2, seed=25)
+        obs = ObservationRecord(Z.times, Z.values, events=((0.5, 1.0),))
+        with pytest.raises(ValueError, match="observation-jump channel"):
+            likelihood_path(m, Y, obs)
+
+    def test_two_dimensional_h_matches_hand_sum(self):
+        m = ModelSpec(
+            drift=lambda x: -x, sigma=lambda x: np.ones_like(x),
+            observation=lambda x: np.stack([x, np.tanh(x)], axis=-1),
+            beta=0.5, p0=gaussian_density(0.0, 1.0),
+        )
+        Y, Z = simulate_classical_pair(m, 1.0, 1e-2, seed=26)
+        assert Z.values.shape == (101, 2)
+        # a clock with a plateau: dT comes from T, not from the grid step
+        T = InversePath(times=Z.times, values=np.minimum(Z.times, 0.4) + np.maximum(Z.times - 0.7, 0.0))
+        dT = np.diff(T.values)
+        log_l = [0.0]
+        for k in range(100):
+            y = Y.values[k]
+            h = np.array([y, np.tanh(y)])
+            log_l.append(log_l[-1] + h @ (Z.values[k + 1] - Z.values[k]) - 0.5 * (h @ h) * dT[k])
+        L = likelihood_path(m, Y, Z, T)
+        assert np.allclose(L.values, np.exp(log_l), rtol=1e-12, atol=0.0)
 
     def test_positivity(self):
         m = named_model("benes-like", 0.5)

@@ -15,13 +15,13 @@ from fracfilt.subordinator import (
     invert_path,
     laplace_identity_residual,
     sample_inverse_marginal,
+    sample_inverse_path,
     sample_stable_path,
     sample_standard_stable,
     stable_cdf,
     stable_density,
     tail_bound,
     tau_cutoff,
-    unit_slope_path,
 )
 
 
@@ -98,7 +98,8 @@ class TestSampling:
 
 class TestInversion:
     def test_unit_slope_identity(self):
-        fixture = unit_slope_path(4.0, 0.01)
+        times = 0.01 * np.arange(401)
+        fixture = SubordinatorPath(beta=0.5, times=times, values=times.copy())
         grid = np.linspace(0.0, 2.0, 201)
         T = invert_path(fixture, grid)
         assert np.allclose(T.values, grid, atol=1e-12)
@@ -115,7 +116,8 @@ class TestInversion:
             assert np.all(d_at_T >= np.linspace(0.0, horizon, 101) - 1e-9)
 
     def test_error_when_horizon_not_reached(self):
-        D = unit_slope_path(1.0, 0.01)
+        times = 0.01 * np.arange(101)
+        D = SubordinatorPath(beta=0.5, times=times, values=times.copy())
         with pytest.raises(ValueError, match="resample"):
             invert_path(D, np.linspace(0.0, 2.0, 21))
 
@@ -153,6 +155,44 @@ class TestInversion:
         t1 = sample_inverse_marginal(0.5, 1.0, 100_000, rng)
         se = t1.std(ddof=1) / np.sqrt(len(t1))
         assert abs(t1.mean() - 2.0 / np.sqrt(np.pi)) < 3.0 * se
+
+
+class TestCoveringClock:
+    @pytest.mark.parametrize("seed", range(1000, 1010))
+    def test_first_covering_draw_is_returned_bit_for_bit(self, seed):
+        # criterion 7's clocks: the draw on 4 x horizon covers at these seeds
+        D0 = sample_stable_path(0.5, 4.0, 1e-2, seed)
+        assert D0.horizon_reached >= 1.0
+        D, T = sample_inverse_path(0.5, 1.0, 1e-2, seed, n_nodes=101)
+        assert np.array_equal(D.values, D0.values)
+        assert np.array_equal(T.values, invert_path(D0, np.linspace(0.0, 1.0, 101)).values)
+
+    def test_doubles_until_covered(self):
+        # horizon 0.01: T_0.01 = 0.1 T_1 often exceeds the first try's 0.04
+        for op_horizon in (0.04, 0.08, 0.16):
+            assert sample_stable_path(0.5, op_horizon, 1e-4, 1).horizon_reached < 0.01
+        D, T = sample_inverse_path(0.5, 0.01, 1e-4, 1, n_nodes=51)
+        assert np.array_equal(D.values, sample_stable_path(0.5, 0.32, 1e-4, 1).values)
+        assert T.times[-1] == 0.01 and T.values[-1] <= D.times[-1]
+
+    def test_gives_up_after_the_last_try(self, monkeypatch):
+        monkeypatch.setattr(subordinator, "_CLOCK_TRIES", 3)
+        with pytest.raises(RuntimeError, match="missed the horizon"):
+            sample_inverse_path(0.5, 0.01, 1e-4, 1, n_nodes=51)
+
+    @pytest.mark.parametrize("beta", [
+        pytest.param(0.05, marks=pytest.mark.xfail(
+            strict=True, raises=ValueError,
+            reason="at beta = 0.05 one stable increment absorbs the later ones in "
+                   "float64, and sample_stable_path rejects the path as not strictly "
+                   "increasing")),
+        0.5,
+        0.95,
+    ])
+    def test_covers_the_horizon_at_extreme_beta_and_seed(self, beta):
+        D, T = sample_inverse_path(beta, 1.0, 1e-2, 2 ** 63 - 5, n_nodes=101)
+        assert D.horizon_reached >= 1.0
+        assert T.times[-1] == 1.0 and np.all(np.diff(T.values) >= 0.0)
 
 
 class TestStableDensity:

@@ -6,8 +6,7 @@ from fracfilt.models import ModelSpec, SpatialGrid, gaussian_density, named_mode
 from fracfilt.sde_sim import ObservationRecord, simulate_classical_pair
 from fracfilt.subordinator import (
     InversePath,
-    invert_path,
-    sample_stable_path,
+    sample_inverse_path,
     tau_cutoff,
     unit_slope_inverse,
 )
@@ -36,15 +35,6 @@ def zero_obs(horizon, step):
     n = int(round(horizon / step))
     t = step * np.arange(n + 1)
     return ObservationRecord(times=t, values=np.zeros(n + 1))
-
-
-def sampled_clock(beta, horizon, seed, n_nodes=501):
-    op_horizon = 4.0
-    while True:
-        D = sample_stable_path(beta, op_horizon, 1e-3, seed=seed)
-        if D.horizon_reached >= horizon:
-            return invert_path(D, np.linspace(0.0, horizon, n_nodes))
-        op_horizon *= 2.0
 
 
 class TestClockMode:
@@ -102,7 +92,7 @@ class TestClockMode:
     def test_pathwise_oracle_beta_half(self):
         beta = 0.5
         model = relaxing_ou(beta)
-        T = sampled_clock(beta, 1.0, seed=53)
+        _, T = sample_inverse_path(beta, 1.0, 1e-3, seed=53, n_nodes=501)
         tau_max = float(np.max(T.values))
         _, Z = simulate_classical_pair(model, tau_max * 1.02 + 1e-3, 1e-3, seed=54)
         U = solve_zakai(model, GRID, Z)
@@ -113,7 +103,7 @@ class TestClockMode:
     def test_oracle_at_time_zero_is_exact(self):
         beta = 0.5
         model = relaxing_ou(beta)
-        T = sampled_clock(beta, 0.5, seed=55)
+        _, T = sample_inverse_path(beta, 0.5, 1e-3, seed=55, n_nodes=501)
         tau_max = float(np.max(T.values))
         _, Z = simulate_classical_pair(model, tau_max * 1.02 + 1e-3, 1e-3, seed=56)
         U = solve_zakai(model, GRID, Z)
@@ -123,7 +113,7 @@ class TestClockMode:
 
     def test_mass_conserved_without_observation(self):
         model = relaxing_ou(0.5, h_zero=True)
-        T = sampled_clock(0.5, 1.0, seed=57)
+        _, T = sample_inverse_path(0.5, 1.0, 1e-3, seed=57, n_nodes=501)
         zeros = zero_obs(float(np.max(T.values)) * 1.1 + 0.1, 1e-2)
         Phi = solve_fractional_zakai(model, GRID, T, zeros)
         assert np.max(np.abs(Phi.mass() - 1.0)) < 1e-6
@@ -261,8 +251,8 @@ class TestSubordination:
         model = relaxing_ou(beta, h_zero=True)
         zeros = zero_obs(6.0, 2e-3)
         solves = [
-            solve_fractional_zakai(model, GRID, sampled_clock(beta, t, seed=60 + i, n_nodes=51),
-                                   zeros)
+            solve_fractional_zakai(
+                model, GRID, sample_inverse_path(beta, t, 1e-3, seed=60 + i, n_nodes=51)[1], zeros)
             for i in range(16)
         ]
         out = subordinate_filter(beta, t, solves)
