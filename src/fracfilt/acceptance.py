@@ -27,6 +27,7 @@ from .sde_sim import (
     kallianpur_striebel_estimate,
     likelihood_path,
     simulate_classical_pair,
+    simulate_time_changed_state_direct,
 )
 from . import levy_ext
 from .subordinator import (
@@ -42,6 +43,7 @@ from .zakai_classical import grid_moments, kalman_bucy_reference, normalize, sol
 from .zakai_fractional import (
     l1_distance,
     pathwise_oracle_report,
+    quadrature_and_kernel,
     solve_fractional_zakai,
     stable_step,
     subordinate_filter,
@@ -61,12 +63,6 @@ class CheckResult:
         extras = ", ".join(f"{k}={v:.3g}" if isinstance(v, float) else f"{k}={v}"
                            for k, v in self.details.items())
         return f"criterion {self.number:02d} {status}  {self.name}  ({self.runtime_s:.1f}s)  [{extras}]"
-
-
-def _zero_obs(horizon: float, step: float) -> ObservationRecord:
-    n = int(round(horizon / step))
-    times = step * np.arange(n + 1)
-    return ObservationRecord(times=times, values=np.zeros(n + 1))
 
 
 def _panel_quad(fn, lo: float, hi: float, panels: int = 8, order: int = 64) -> float:
@@ -273,15 +269,10 @@ def criterion_7() -> CheckResult:
     t0 = time.perf_counter()
     beta, t_eval = 0.5, 1.0
     base = named_model("ou-linear", beta, mean0=1.0, std0=0.7)
-    model = ModelSpec(drift=base.drift, sigma=base.sigma,
-                      observation=lambda x: np.zeros_like(np.asanyarray(x, dtype=float)),
-                      beta=beta, p0=base.p0, name="ou-linear/h=0")
     grid = SpatialGrid(-6.0, 6.0, 48)
-    step = 2e-3
-    tau_hi = tau_cutoff(beta, t_eval, 1e-9)
-    zeros = _zero_obs(tau_hi, step)
-    U = solve_zakai(model, grid, zeros)
-    quadr = subordinate_filter(beta, t_eval, U)
+    # g-quadrature of the h = 0 classical flow, and the kernel-mode solve, which
+    # marches the deterministic time-fractional equation directly
+    model, zeros, quadr, kernel = quadrature_and_kernel(base, grid, t_eval, 2e-3)
 
     solves = []
     for i in range(1000):
@@ -289,13 +280,7 @@ def criterion_7() -> CheckResult:
         solves.append(solve_fractional_zakai(model, grid, T, zeros))
     ens = subordinate_filter(beta, t_eval, solves)
     dist_ens = l1_distance(grid, quadr, ens)
-
-    # kernel mode marches the deterministic time-fractional equation directly
-    A = adjoint_matrix(model, grid)
-    dt = min(step, stable_step(beta, A))
-    Tu = unit_slope_inverse(t_eval, dt)
-    Phi = solve_fractional_zakai(model, grid, Tu, zeros, memory="kernel", adjoint=A)
-    dist_kernel = l1_distance(grid, quadr, Phi.at_time(t_eval))
+    dist_kernel = l1_distance(grid, quadr, kernel)
 
     rt = time.perf_counter() - t0
     tol = 1e-2
@@ -452,9 +437,7 @@ def criterion_10() -> CheckResult:
     ok &= errL < 1e-3
 
     # (d) equation residual of the jump-observation filter on f(x) = x
-    jm = named_model("jump-poisson", beta)
     _, T = sample_inverse_path(beta, 1.0, 1e-3, seed=909, n_nodes=2001)
-    from .sde_sim import simulate_time_changed_state_direct
     X = simulate_time_changed_state_direct(jm, T, seed=910)
     obs = levy_ext.simulate_jump_observation(jm, X, T, seed=911)
     f = lambda x: x

@@ -19,19 +19,21 @@ import numpy as np
 from . import acceptance, levy_ext
 from .config import ConfigError, ExperimentConfig, parse_config
 from .csvio import write_csv, write_summary
-from .models import ModelSpec, SpatialGrid, adjoint_matrix, named_model
-from .sde_sim import simulate_classical_pair, time_change_pair
-from .subordinator import inverse_density_grid, sample_inverse_path, unit_slope_inverse
-# not called here; perfbench's tracer patches these two names on this module
-from .subordinator import invert_path, sample_stable_path
+from .models import ModelSpec, SpatialGrid, named_model
+from .sde_sim import (ObservationRecord, simulate_classical_pair,
+                      simulate_time_changed_state_direct, time_change_pair)
+from .subordinator import inverse_density_grid, sample_inverse_path
 from .zakai_classical import grid_moments, solve_zakai
 from .zakai_fractional import (
     l1_distance,
     pathwise_oracle_report,
+    quadrature_and_kernel,
     solve_fractional_zakai,
-    stable_step,
-    subordinate_filter,
 )
+# not called here; perfbench's tracer patches these names on this module
+from .models import adjoint_matrix
+from .subordinator import invert_path, sample_stable_path
+from .zakai_fractional import subordinate_filter
 
 
 def _build_model(cfg: ExperimentConfig) -> ModelSpec:
@@ -52,6 +54,12 @@ def _build_model(cfg: ExperimentConfig) -> ModelSpec:
 
 def _grid(cfg: ExperimentConfig) -> SpatialGrid:
     return SpatialGrid(cfg.grid_lower, cfg.grid_upper, cfg.grid_cells)
+
+
+def _clock(cfg: ExperimentConfig):
+    """(D, T): the run's clock T on one node per step of [0, horizon], and the D it inverts."""
+    return sample_inverse_path(cfg.beta, cfg.horizon, cfg.step, cfg.seed,
+                               round(cfg.horizon / cfg.step) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +91,8 @@ def _run_density(cfg, out):
 
 def _run_simulate(cfg, out):
     model = _build_model(cfg)
-    D, T = sample_inverse_path(cfg.beta, cfg.horizon, cfg.step, cfg.seed,
-                               round(cfg.horizon / cfg.step) + 1)
-    op_horizon = D.times[-1]
-    Y, Z = simulate_classical_pair(model, op_horizon, cfg.step, cfg.seed + 1)
+    D, T = _clock(cfg)
+    Y, Z = simulate_classical_pair(model, D.times[-1], cfg.step, cfg.seed + 1)
     X, V = time_change_pair(Y, Z, T)
     tgrid = T.times
     yi = np.interp(tgrid, Y.times, Y.values)
@@ -97,15 +103,11 @@ def _run_simulate(cfg, out):
     return True, summary, files
 
 
-def _solve_classical(cfg, model, grid, horizon, seed):
-    _, Z = simulate_classical_pair(model, horizon, cfg.step, seed)
-    return Z, solve_zakai(model, grid, Z)
-
-
 def _run_zakai(cfg, out):
     model = _build_model(cfg)
     grid = _grid(cfg)
-    Z, U = _solve_classical(cfg, model, grid, cfg.horizon, cfg.seed)
+    _, Z = simulate_classical_pair(model, cfg.horizon, cfg.step, cfg.seed)
+    U = solve_zakai(model, grid, Z)
     files = _emit_density_files(out, grid, U.times, U.values, prefix="zakai")
     mass = U.mass()
     ok = bool(np.all(np.isfinite(mass)) and mass[-1] > 0.0)
@@ -119,8 +121,7 @@ def _run_zakai(cfg, out):
 def _run_frac_zakai(cfg, out):
     model = _build_model(cfg)
     grid = _grid(cfg)
-    D, T = sample_inverse_path(cfg.beta, cfg.horizon, cfg.step, cfg.seed,
-                               round(cfg.horizon / cfg.step) + 1)
+    D, T = _clock(cfg)
     _, Z = simulate_classical_pair(model, D.times[-1], cfg.step, cfg.seed + 1)
     Phi = solve_fractional_zakai(model, grid, T, Z)
     files = _emit_density_files(out, grid, Phi.times, Phi.values, prefix="frac_zakai",
@@ -139,10 +140,8 @@ def _run_oracle(cfg, out):
     grid = _grid(cfg)
     if any(t <= 0.0 or t > cfg.horizon for t in cfg.checkpoints):
         raise ValueError("oracle checkpoints must lie in (0, horizon]")
-    D, T = sample_inverse_path(cfg.beta, cfg.horizon, cfg.step, cfg.seed,
-                               round(cfg.horizon / cfg.step) + 1)
-    op_horizon = D.times[-1]
-    _, Z = simulate_classical_pair(model, op_horizon, cfg.step, cfg.seed + 1)
+    D, T = _clock(cfg)
+    _, Z = simulate_classical_pair(model, D.times[-1], cfg.step, cfg.seed + 1)
     U = solve_zakai(model, grid, Z)
     Phi = solve_fractional_zakai(model, grid, T, Z)
     rows = pathwise_oracle_report(Phi, U, T, cfg.checkpoints)
@@ -166,26 +165,8 @@ def _run_oracle(cfg, out):
 
 
 def _run_subordinate(cfg, out):
-    base = _build_model(cfg)
-    model = ModelSpec(
-        drift=base.drift, sigma=base.sigma, observation=lambda x: np.zeros_like(np.asanyarray(x, float)),
-        beta=cfg.beta, p0=base.p0, name=base.name + "/h=0",
-    )
     grid = _grid(cfg)
-    from .subordinator import tau_cutoff
-    from .sde_sim import ObservationRecord
-    tau_hi = tau_cutoff(cfg.beta, cfg.horizon, 1e-9)
-    nt = int(round(tau_hi / cfg.step))
-    times = cfg.step * np.arange(nt + 1)
-    zeros = ObservationRecord(times=times, values=np.zeros(nt + 1))
-    U = solve_zakai(model, grid, zeros)
-    quadr = subordinate_filter(cfg.beta, cfg.horizon, U)
-    A = adjoint_matrix(model, grid)
-    dt_max = stable_step(cfg.beta, A)
-    step = min(cfg.step, dt_max)
-    T = unit_slope_inverse(cfg.horizon, step)
-    Phi = solve_fractional_zakai(model, grid, T, zeros, memory="kernel", adjoint=A)
-    frac = Phi.at_time(cfg.horizon)
+    _, _, quadr, frac = quadrature_and_kernel(_build_model(cfg), grid, cfg.horizon, cfg.step)
     dist = l1_distance(grid, quadr, frac)
     tol = 1e-2
     passed = dist < tol
@@ -202,9 +183,7 @@ def _run_subordinate(cfg, out):
 
 def _run_jump_filter(cfg, out):
     model = named_model("jump-poisson", cfg.beta)
-    D, T = sample_inverse_path(cfg.beta, cfg.horizon, cfg.step, cfg.seed,
-                               round(cfg.horizon / cfg.step) + 1)
-    from .sde_sim import simulate_time_changed_state_direct
+    _, T = _clock(cfg)
     X = simulate_time_changed_state_direct(model, T, cfg.seed + 1)
     obs = levy_ext.simulate_jump_observation(model, X, T, cfg.seed + 2)
     f = lambda x: x
@@ -257,7 +236,6 @@ def _run_benchmark(cfg, out):
     clock("stable_sampler_1e6", lambda: sample_standard_stable(cfg.beta, 1_000_000, rng))
     model = _build_model(cfg)
     grid = _grid(cfg)
-    from .sde_sim import ObservationRecord
     nt = 1000
     times = cfg.step * np.arange(nt + 1)
     zeros = ObservationRecord(times=times, values=np.zeros(nt + 1))

@@ -202,6 +202,8 @@ def parse_config(text: str) -> ExperimentConfig:
         setattr(cfg, attr, parsed)
     if cfg.grid_lower >= cfg.grid_upper:
         problems.append("grid.lower must be below grid.upper")
+    if cfg.horizon < cfg.step:
+        problems.append(f"horizon {cfg.horizon} must be at least one step ({cfg.step})")
     if problems:
         raise ConfigError(problems)
     return cfg

@@ -6,7 +6,9 @@ Only finite atom lists are supported, so the small-jump compensated integral
 of the general Levy calculus vanishes identically and every estimator has a
 Monte-Carlo oracle.  State-jump models need no solver of their own:
 zakai_fractional.solve_fractional_zakai extends the adjoint by the discrete
-transpose of the jump generator.  A jump observation is an
+transpose of the jump generator.  A state-jump path is an sde_sim.StatePath
+with a jump log, stepped by sde_sim's one Euler-Maruyama loop with its
+jump-epoch sub-step switched on.  A jump observation is an
 sde_sim.ObservationRecord with events, and its single-path likelihood is
 sde_sim.likelihood_path.  The jump-observation filter is the
 Kallianpur-Striebel weighted-particle loop of sde_sim (_weighted_particles)
@@ -21,11 +23,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .models import ModelSpec
-from .sde_sim import ObservationRecord, StatePath, _weighted_particles, _x0_sampler
+from .sde_sim import (ObservationRecord, StatePath, _euler_maruyama, _uniform_times,
+                      _weighted_particles)
 from .subordinator import InversePath, _rng
 
 __all__ = [
-    "JumpStatePath",
     "simulate_jump_state",
     "simulate_jump_observation",
     "fractional_filter_jump_obs",
@@ -33,86 +35,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class JumpStatePath:
-    """State path with jumps: node values on the uniform grid plus the jump log."""
-
-    times: np.ndarray
-    values: np.ndarray
-    jump_log: tuple            # ((time, displacement), ...) in increasing time
-
-    def __post_init__(self):
-        ts = [t for t, _ in self.jump_log]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("jump log times must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("state values must be finite")
-
-
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
 
-def simulate_jump_state(model: ModelSpec, horizon: float, step: float, seed) -> JumpStatePath:
+def simulate_jump_state(model: ModelSpec, horizon: float, step: float, seed) -> StatePath:
     """Euler-Maruyama between exponentially spaced jump epochs of rate lam0.
 
     Diffusion noise comes from stream 0 with the same draw pattern as the
     classical simulator, jump randomness from stream 1; with lam0 = 0 the
     output therefore matches the jump-free state path for the same seed.
-    At each epoch the state jumps by G(X-, w) with w drawn from the atoms.
+    At each epoch the state jumps by G(X-, w) with w drawn from the atoms;
+    the jumps are logged in the path's jump_log.
     """
     jumps = model.jumps
     if jumps is None or jumps.state_jump_map is None:
         raise ValueError("model carries no state jump specification")
-    if jumps.intensity < 0.0:
-        raise ValueError("jump intensity must be nonnegative")
-    if step <= 0.0 or horizon <= 0.0:
-        raise ValueError("horizon and step must be positive")
-    M = int(round(horizon / step))
-    times = step * np.arange(M + 1)
-
-    rng = _rng(seed)                     # diffusion stream (matches classical order)
-    x0 = float(_x0_sampler(model, rng, 1)[0])
-    dB = np.sqrt(step) * rng.standard_normal((1, M))[0]
-
+    times = _uniform_times(horizon, step)
     jrng = _rng(seed, stream=1)
-    lam0 = jumps.intensity
-    n_jumps = jrng.poisson(lam0 * horizon) if lam0 > 0.0 else 0
-    epochs = np.sort(jrng.uniform(0.0, horizon, n_jumps)) if n_jumps else np.empty(0)
-    marks = (
-        jrng.choice(jumps.marks, size=n_jumps, p=jumps.probabilities) if n_jumps else np.empty(0)
-    )
-
-    X = np.empty(M + 1)
-    X[0] = x0
-    log = []
-    ei = 0
-    for k in range(M):
-        t0, t1 = times[k], times[k + 1]
-        inside = []
-        while ei < len(epochs) and epochs[ei] <= t1:
-            if epochs[ei] > t0:
-                inside.append((epochs[ei], marks[ei]))
-            ei += 1
-        x = X[k]
-        if not inside:
-            x = x + model.drift(x) * step + model.sigma(x) * dB[k]
-        else:
-            # sub-step through the epochs; sub-interval noise from the jump stream
-            s = t0
-            for (se, w) in inside:
-                d = se - s
-                if d > 0:
-                    x = x + model.drift(x) * d + model.sigma(x) * np.sqrt(d) * jrng.standard_normal()
-                disp = float(jumps.state_jump_map(np.asarray(x), w))
-                x = x + disp
-                log.append((float(se), disp))
-                s = se
-            d = t1 - s
-            if d > 0:
-                x = x + model.drift(x) * d + model.sigma(x) * np.sqrt(d) * jrng.standard_normal()
-        X[k + 1] = x
-    return JumpStatePath(times=times, values=X, jump_log=tuple(log))
+    n_jumps = jrng.poisson(jumps.intensity * horizon)
+    epochs = np.sort(jrng.uniform(0.0, horizon, n_jumps))
+    marks = jrng.choice(jumps.marks, size=n_jumps, p=jumps.probabilities)
+    X, log = _euler_maruyama(model, np.full(len(times) - 1, step), _rng(seed),
+                             jumps=(times, list(zip(epochs, marks)), jrng))
+    return StatePath(times=times, values=X[0], jump_log=log)
 
 
 def simulate_jump_observation(

@@ -4,6 +4,9 @@ Classical pair: dY = b(Y) dt + sigma(Y) dB, dZ = h(Y) dt + dW (independent noise
 Time-changed pair: X_t = Y_{T_t}, V_t = Z_{T_t} for an inverse-subordinator clock T,
 or the direct discretization dX = b(X) dT + sigma(X) dB_T.
 
+_euler_maruyama is the one loop of that state equation, for the classical
+ensemble, the direct time-changed simulator and levy_ext.simulate_jump_state.
+
 An ObservationRecord holds the continuous observation path and, for a model
 with an observation-jump channel, its marked events.  likelihood_path is the
 one single-path likelihood, marked-event terms included, and
@@ -40,8 +43,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StatePath:
+    """State values on a time grid; jump_log holds the state jumps
+    ((time, displacement), ...) in strictly increasing time, () for none."""
+
     times: np.ndarray
     values: np.ndarray
+    jump_log: tuple = ()
+
+    def __post_init__(self):
+        ts = [t for t, _ in self.jump_log]
+        if any(b <= a for a, b in zip(ts, ts[1:])):
+            raise ValueError("jump log times must be strictly increasing")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("state values must be finite")
 
     def at(self, t):
         return np.interp(t, self.times, self.values)
@@ -103,52 +117,81 @@ def _x0_sampler(model: ModelSpec, rng: np.random.Generator, n: int) -> np.ndarra
     return np.interp(u, cdf, xs)
 
 
+def _uniform_times(horizon: float, step: float) -> np.ndarray:
+    """Nodes step * k, k = 0..round(horizon / step), of a uniform simulation grid."""
+    if step <= 0.0 or horizon <= 0.0:
+        raise ValueError("horizon and step must be positive")
+    return step * np.arange(int(round(horizon / step)) + 1)
+
+
+def _euler_maruyama(model: ModelSpec, dT: np.ndarray, rng: np.random.Generator,
+                    n_paths: int = 1, x0: np.ndarray | None = None, jumps=None):
+    """The one Euler-Maruyama loop of dX = b(X) dT + sigma(X) dB_T, n_paths at once.
+
+    Draws x0 from p0 (unless given), then one (n_paths, M) block xi of normals
+    from rng, and steps X_{k+1} = X_k + b(X_k) dT_k + sigma(X_k) dB_k with
+    dB = sqrt(dT) xi.  jumps = (times, ((s, w), ...), jump_rng) splits a single
+    path's step (times[k], times[k+1]] at the state-jump epochs s inside it:
+    Euler pieces with noise from jump_rng, and a jump G(X_s-, w) at each s,
+    G = model.jumps.state_jump_map.  Returns X and the jump log ((s, G), ...).
+    """
+    M = len(dT)
+    X = np.empty((n_paths, M + 1))
+    X[:, 0] = _x0_sampler(model, rng, n_paths) if x0 is None else x0
+    dB = np.sqrt(dT) * rng.standard_normal((n_paths, M))
+    times, epochs, jump_rng = jumps or (None, [], None)
+    # the epochs in (times[k], times[k + 1]] are epochs[cut[k]:cut[k + 1]]
+    cut = np.searchsorted([s for s, _ in epochs], times, side="right") if jumps else [0] * (M + 1)
+    log = []
+    for k in range(M):
+        x = X[:, k]
+        if cut[k] == cut[k + 1]:
+            X[:, k + 1] = x + model.drift(x) * dT[k] + model.sigma(x) * dB[:, k]
+            continue
+        s = times[k]
+        for se, w in epochs[cut[k]:cut[k + 1]] + [(times[k + 1], None)]:
+            d = se - s
+            if d > 0:
+                x = x + model.drift(x) * d + model.sigma(x) * np.sqrt(d) * jump_rng.standard_normal()
+            if w is not None:
+                disp = np.broadcast_to(model.jumps.state_jump_map(x, w), x.shape)
+                x = x + disp
+                log.append((float(se), float(disp[0])))
+            s = se
+        X[:, k + 1] = x
+    return X, tuple(log)
+
+
 def simulate_classical_ensemble(
     model: ModelSpec,
     horizon: float,
     step: float,
     seed,
     n_paths: int,
-    with_observation: bool = True,
     x0: np.ndarray | None = None,
 ):
-    """Euler-Maruyama ensemble: Y (n_paths, M+1) and optionally Z = int h dt + W.
+    """Euler-Maruyama ensemble: Y (n_paths, M+1) and Z = int h(Y) dt + W (n_paths, M+1, m).
 
-    Row i of every noise array belongs to path i.  Returns (times, Y, Z) with
-    Z None when with_observation is False;  Z has shape (n_paths, M+1, m).
+    Row i of every noise array belongs to path i; the observation noise is
+    drawn after the state noise.  Returns (times, Y, Z).
     """
-    if step <= 0.0 or horizon <= 0.0:
-        raise ValueError("horizon and step must be positive")
-    M = int(round(horizon / step))
-    times = step * np.arange(M + 1)
+    times = _uniform_times(horizon, step)
+    M = len(times) - 1
     rng = _rng(seed)
-    Y = np.empty((n_paths, M + 1))
-    Y[:, 0] = _x0_sampler(model, rng, n_paths) if x0 is None else x0
-    dB = np.sqrt(step) * rng.standard_normal((n_paths, M))
+    Y, _ = _euler_maruyama(model, np.full(M, step), rng, n_paths, x0)
     m_obs = model.h_matrix(np.zeros(1)).shape[1]
-    if with_observation:
-        dW = np.sqrt(step) * rng.standard_normal((n_paths, M, m_obs))
-        Z = np.zeros((n_paths, M + 1, m_obs))
-    else:
-        Z = None
+    dW = np.sqrt(step) * rng.standard_normal((n_paths, M, m_obs))
+    Z = np.zeros((n_paths, M + 1, m_obs))
     for k in range(M):
-        yk = Y[:, k]
-        if with_observation:
-            Z[:, k + 1] = Z[:, k] + model.h_matrix(yk) * step + dW[:, k]
-        Y[:, k + 1] = yk + model.drift(yk) * step + model.sigma(yk) * dB[:, k]
+        Z[:, k + 1] = Z[:, k] + model.h_matrix(Y[:, k]) * step + dW[:, k]
     return times, Y, Z
 
 
 def simulate_classical_pair(model: ModelSpec, horizon: float, step: float, seed):
     """One classical pair (StatePath, ObservationRecord); deterministic per seed."""
     times, Y, Z = simulate_classical_ensemble(model, horizon, step, seed, n_paths=1)
-    z = Z[0]
-    if z.shape[1] == 1:
-        z = z[:, 0]
-    return (
-        StatePath(times=times, values=Y[0]),
-        ObservationRecord(times=times, values=z),
-    )
+    z = Z[0, :, 0] if Z.shape[2] == 1 else Z[0]
+    return StatePath(times=times, values=Y[0]), ObservationRecord(times=times, values=z)
 
 
 def time_change_pair(
@@ -178,18 +221,8 @@ def simulate_time_changed_state_direct(model: ModelSpec, T: InversePath, seed) -
     Independent construction of the same law as composing the classical path with
     T; flat stretches of T produce exactly constant stretches of X.
     """
-    rng = _rng(seed)
-    dT = np.diff(T.values)
-    if np.any(dT < 0.0):
-        raise ValueError("inverse path must be nondecreasing")
-    M = len(dT)
-    X = np.empty(M + 1)
-    X[0] = float(_x0_sampler(model, rng, 1)[0])
-    xi = rng.standard_normal(M)
-    for k in range(M):
-        xk = X[k]
-        X[k + 1] = xk + model.drift(xk) * dT[k] + model.sigma(xk) * np.sqrt(dT[k]) * xi[k]
-    return StatePath(times=T.times, values=X)
+    X, _ = _euler_maruyama(model, np.diff(T.values), _rng(seed))
+    return StatePath(times=T.times, values=X[0])
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +402,14 @@ def kallianpur_striebel_estimate(
     the GIVEN observation increments.  dt_weights overrides the clock increments
     of the state steps and of the quadratic penalty (pass diff(T) for
     time-changed problems).  Weight collapse (ESS < 2) is flagged in the
-    output, not fatal.
+    output, not fatal.  A record with marked events is rejected: this
+    estimate has no event term (levy_ext.fractional_filter_jump_obs has).
     """
-    M = len(observed.times) - 1
-    dt = np.broadcast_to(
-        np.asarray(observed.step if dt_weights is None else dt_weights, dtype=float), (M,)
-    )
+    if observed.events:
+        raise ValueError("the Kallianpur-Striebel estimate takes a continuous-only record; "
+                         "filter marked events with levy_ext.fractional_filter_jump_obs")
+    dt = np.broadcast_to(np.asarray(observed.step if dt_weights is None else dt_weights,
+                                    dtype=float), (len(observed.times) - 1,))
     est, sd, ess, _, _ = _weighted_particles(
         model, observed.times, observed.increments, dt, f, n_particles, seed
     )

@@ -228,6 +228,8 @@ def invert_path(path: SubordinatorPath, real_time_grid: np.ndarray) -> InversePa
     not reach the requested real-time horizon (resample with a longer horizon).
     """
     grid = np.asarray(real_time_grid, dtype=float)
+    if grid.size < 2:
+        raise ValueError(f"real_time_grid needs at least two nodes, got {grid.size}")
     d = np.diff(grid)
     if grid[0] != 0.0 or np.any(d <= 0):
         raise ValueError("real_time_grid must increase from 0")

@@ -45,14 +45,15 @@ from scipy.special import gamma as _gamma
 
 from .fraccalc import trapezoid_weights
 from .models import ModelSpec, SpatialGrid, adjoint_matrix, jump_generator_matrix
-from .sde_sim import ObservationRecord
-from .subordinator import InversePath, inverse_density_grid, tail_bound
+from .sde_sim import ObservationRecord, _uniform_times
+from .subordinator import InversePath, inverse_density_grid, tail_bound, tau_cutoff, unit_slope_inverse
 
 __all__ = [
     "FilterDensityGrid",
     "stable_step",
     "solve_fractional_zakai",
     "subordinate_filter",
+    "quadrature_and_kernel",
     "pathwise_oracle_report",
     "l1_distance",
 ]
@@ -335,6 +336,28 @@ def subordinate_filter(
     if not members:
         raise ValueError("need at least one ensemble member")
     return sum(Phi.at_time(float(t)) for Phi in members) / len(members)
+
+
+def quadrature_and_kernel(model: ModelSpec, grid: SpatialGrid, t: float, step: float):
+    """The observation-free subordination identity at real time t, two ways.
+
+    With h set to 0: the g_t-average (subordinate_filter) of the classical flow
+    on a grid of the given step out to tau_cutoff(beta, t, 1e-9), and the
+    kernel-mode solve on a unit-slope clock of step min(step, stable_step).
+    Returns the h = 0 model, its zero record and the two profiles at t.
+    """
+    from .zakai_classical import solve_zakai    # zakai_classical imports this module
+    beta = model.beta
+    free = ModelSpec(drift=model.drift, sigma=model.sigma,
+                     observation=lambda x: np.zeros_like(np.asanyarray(x, dtype=float)),
+                     beta=beta, p0=model.p0, name=model.name + "/h=0")
+    times = _uniform_times(tau_cutoff(beta, t, 1e-9), step)
+    zeros = ObservationRecord(times=times, values=np.zeros(len(times)))
+    quadrature = subordinate_filter(beta, t, solve_zakai(free, grid, zeros))
+    A = adjoint_matrix(free, grid)
+    T = unit_slope_inverse(t, min(step, stable_step(beta, A)))
+    Phi = solve_fractional_zakai(free, grid, T, zeros, memory="kernel", adjoint=A)
+    return free, zeros, quadrature, Phi.at_time(t)
 
 
 def l1_distance(grid: SpatialGrid, u: np.ndarray, v: np.ndarray) -> float:

@@ -225,6 +225,12 @@ class TestCLIEntry:
         assert main(["run", str(p)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_horizon_below_one_step_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "short.cfg"
+        p.write_text("run = frac-zakai\nhorizon = 1e-4\nstep = 1e-3\n")
+        assert main(["run", str(p)]) == 2
+        assert "at least one step" in capsys.readouterr().err
+
     def test_run_via_main_with_overrides(self, tmp_path, capsys):
         p = tmp_path / "ok.cfg"
         p.write_text("run = density\nbeta = 0.5\nseed = 1\n")

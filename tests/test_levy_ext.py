@@ -48,6 +48,12 @@ class TestJumpStateSimulation:
         assert np.array_equal(jpath.values, ypath.values)
         assert jpath.jump_log == ()
 
+    def test_jump_path_pinned(self):
+        p = levy_ext.simulate_jump_state(state_jump_model(lam0=2.0), horizon=1.0, step=1e-2,
+                                         seed=61)
+        assert p.values[-1] == 1.3409487754641265
+        assert p.jump_log == ((0.23295496768751967, -0.3),)
+
     def test_compound_poisson_mean(self):
         # b = sigma = 0, unit marks, lam0 = 2: E[X_t - X_0] = 2 t
         m = pure_jump_model(lam0=2.0)

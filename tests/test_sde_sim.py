@@ -12,7 +12,7 @@ from fracfilt.sde_sim import (
     simulate_time_changed_state_direct,
     time_change_pair,
 )
-from fracfilt.subordinator import InversePath, sample_inverse_path
+from fracfilt.subordinator import InversePath, sample_inverse_path, unit_slope_inverse
 
 
 def flat_model(h=0.0, sig=1.0):
@@ -40,8 +40,7 @@ class TestClassicalPair:
 
     def test_ou_stationary_variance(self):
         m = named_model("ou-linear", 0.5)
-        _, Y, _ = simulate_classical_ensemble(m, 5.0, 1e-2, seed=5, n_paths=10_000,
-                                              with_observation=False)
+        _, Y, _ = simulate_classical_ensemble(m, 5.0, 1e-2, seed=5, n_paths=10_000)
         v = Y[:, -1].var(ddof=1)
         se = np.sqrt(2.0 / (len(Y) - 1))  # var-of-variance for ~N data
         assert abs(v - 1.0) < 3.0 * se + 0.02
@@ -116,6 +115,33 @@ class TestTimeChange:
             time_change_pair(Y, Z, T)
 
 
+class TestOneEulerLoop:
+    """The classical, direct time-changed and jump-state simulators share one
+    Euler-Maruyama loop; these pins hold its stream order and arithmetic."""
+
+    def test_classical_pair_pinned(self):
+        # criterion 5's record
+        Y, Z = simulate_classical_pair(named_model("ou-linear", 0.5), 2.0, 1e-3, seed=2024)
+        assert Y.values[0] == 0.6839818830595102
+        assert Y.values[-1] == 1.05007323164504
+        assert Z.values[0] == 0.0
+        assert Z.values[-1] == 0.8014774243940641
+
+    def test_direct_on_unit_clock_is_the_classical_path(self):
+        # same seed, same stream order: pathwise equal up to the rounding of diff(T)
+        m = named_model("ou-linear", 0.5)
+        Y, _ = simulate_classical_pair(m, 2.0, 1e-3, seed=2024)
+        X = simulate_time_changed_state_direct(m, unit_slope_inverse(2.0, 1e-3), seed=2024)
+        assert np.max(np.abs(X.values - Y.values)) < 1e-12
+
+    def test_state_path_rejects_non_finite_values_and_unordered_jumps(self):
+        times = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(ValueError, match="finite"):
+            StatePath(times=times, values=np.array([0.0, np.nan, 1.0]))
+        with pytest.raises(ValueError, match="increasing"):
+            StatePath(times=times, values=np.zeros(3), jump_log=((0.5, 1.0), (0.5, -1.0)))
+
+
 class TestDirectTimeChanged:
     def test_flat_clock_freezes_state(self):
         times = np.linspace(0.0, 1.0, 101)
@@ -135,8 +161,7 @@ class TestDirectTimeChanged:
             simulate_time_changed_state_direct(m, T, seed=90_000 + i).values[-1]
             for i in range(2000)
         ])
-        _, Y, _ = simulate_classical_ensemble(m, 1.0, 1e-2, seed=91, n_paths=2000,
-                                              with_observation=False)
+        _, Y, _ = simulate_classical_ensemble(m, 1.0, 1e-2, seed=91, n_paths=2000)
         ref = Y[:, -1]
         se_mean = np.sqrt(direct.var() / len(direct) + ref.var() / len(ref))
         assert abs(direct.mean() - ref.mean()) < 3.0 * se_mean
@@ -176,8 +201,7 @@ class TestLikelihood:
         # so E[Lambda_1] = 1
         m = named_model("ou-linear", 0.5)
         n, step = 4000, 1e-2
-        times, Y, _ = simulate_classical_ensemble(m, 1.0, step, seed=99, n_paths=n,
-                                                  with_observation=False)
+        times, Y, _ = simulate_classical_ensemble(m, 1.0, step, seed=99, n_paths=n)
         rng = np.random.Generator(np.random.Philox(key=98))
         dZ = np.sqrt(step) * rng.standard_normal((n, len(times) - 1))
         Z = np.concatenate((np.zeros((n, 1)), np.cumsum(dZ, axis=1)), axis=1)
@@ -261,6 +285,16 @@ class TestKallianpurStriebel:
         _, Z = simulate_classical_pair(m, 1.0, 1e-2, seed=35)
         est = kallianpur_striebel_estimate(m, Z, lambda x: x, 100, seed=36)
         assert est.weight_collapse is True
+
+    def test_marked_events_rejected(self):
+        # the estimate has no event term; fractional_filter_jump_obs filters events
+        m = named_model("jump-poisson", 0.5)
+        times = np.linspace(0.0, 1.0, 101)
+        plain = ObservationRecord(times=times, values=np.zeros(101))
+        kallianpur_striebel_estimate(m, plain, lambda x: x, 100, seed=39)
+        marked = ObservationRecord(times=times, values=np.zeros(101), events=((0.5, 1.0),))
+        with pytest.raises(ValueError, match="continuous-only"):
+            kallianpur_striebel_estimate(m, marked, lambda x: x, 100, seed=39)
 
     def test_particle_floor(self):
         m = named_model("ou-linear", 0.5)

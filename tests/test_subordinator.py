@@ -121,6 +121,12 @@ class TestInversion:
         with pytest.raises(ValueError, match="resample"):
             invert_path(D, np.linspace(0.0, 2.0, 21))
 
+    def test_error_on_one_node_grid(self):
+        times = 0.01 * np.arange(101)
+        D = SubordinatorPath(beta=0.5, times=times, values=times.copy())
+        with pytest.raises(ValueError, match="two nodes"):
+            invert_path(D, np.zeros(1))
+
     def test_mean_of_inverse_at_t1(self):
         # E[T_1] = 1/Gamma(1.5) = 2/sqrt(pi); vectorized first-crossing of
         # sampled increment paths as the oracle for the path-based inversion.
