@@ -19,7 +19,13 @@ from scipy.special import beta as beta_fn
 from scipy.special import betainc, gamma, roots_legendre
 
 from .config import parse_config
-from .fraccalc import GridFunction, fractional_integral, riemann_liouville_derivative, trapezoid_weights
+from .fraccalc import (
+    GridFunction,
+    fractional_integral,
+    riemann_liouville_derivative,
+    trapezoid_node_weights,
+    trapezoid_weights,
+)
 from .models import JumpSpec, ModelSpec, SpatialGrid, adjoint_matrix, named_model
 from .sde_sim import (
     ObservationRecord,
@@ -149,11 +155,7 @@ def criterion_3() -> CheckResult:
         gmat = inverse_density_grid(beta, tgrid[1:, None], shifted[None, :])
         gmat = np.vstack([np.zeros((1, shifted.size)), gmat])  # g_0+(tau) = 0 for tau > 0
         M = len(tgrid) - 1
-        P, Q = trapezoid_weights(beta, M, dt)
-        wts = np.empty(M + 1)
-        wts[0] = Q[M - 1]
-        wts[1:M] = Q[: M - 1][::-1] + P[1:M][::-1]
-        wts[M] = P[0]
+        wts = trapezoid_node_weights(*trapezoid_weights(beta, M, dt), M)
         J = (wts @ gmat) / gamma(beta)
         n = inner.size
         deriv = -(J[:n] - J[n:]) / (2.0 * h)

@@ -18,6 +18,7 @@ from scipy.special import gamma
 __all__ = [
     "GridFunction",
     "trapezoid_weights",
+    "trapezoid_node_weights",
     "fractional_integral",
     "riemann_liouville_derivative",
 ]
@@ -56,6 +57,19 @@ def trapezoid_weights(beta: float, n_steps: int, step: float) -> tuple[np.ndarra
     P = np.arange(1, n_steps + 1, dtype=float) * A - B
     Q = A - P
     return P, Q
+
+
+def trapezoid_node_weights(P: np.ndarray, Q: np.ndarray, n: int) -> np.ndarray:
+    """Node weights w_0..w_n of Gamma(b) J^b f(t_n) = sum_j w_j f_j, from (P, Q).
+
+    (P, Q) come from trapezoid_weights with at least n lags: w_0 = Q_n,
+    w_j = Q_{n-j} + P_{n-j+1} for 0 < j < n, and w_n = P_1.
+    """
+    w = np.empty(n + 1)
+    w[0] = Q[n - 1]
+    w[1:n] = Q[: n - 1][::-1] + P[1:n][::-1]
+    w[n] = P[0]
+    return w
 
 
 def fractional_integral(f: GridFunction, beta: float) -> GridFunction:

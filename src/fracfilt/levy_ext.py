@@ -42,6 +42,8 @@ __all__ = [
 def simulate_jump_state(model: ModelSpec, horizon: float, step: float, seed) -> StatePath:
     """Euler-Maruyama between exponentially spaced jump epochs of rate lam0.
 
+    The epochs cover the whole grid, which ends at step * round(horizon / step).
+
     Diffusion noise comes from stream 0 with the same draw pattern as the
     classical simulator, jump randomness from stream 1; with lam0 = 0 the
     output therefore matches the jump-free state path for the same seed.
@@ -53,8 +55,8 @@ def simulate_jump_state(model: ModelSpec, horizon: float, step: float, seed) -> 
         raise ValueError("model carries no state jump specification")
     times = _uniform_times(horizon, step)
     jrng = _rng(seed, stream=1)
-    n_jumps = jrng.poisson(jumps.intensity * horizon)
-    epochs = np.sort(jrng.uniform(0.0, horizon, n_jumps))
+    n_jumps = jrng.poisson(jumps.intensity * times[-1])
+    epochs = np.sort(jrng.uniform(0.0, times[-1], n_jumps))
     marks = jrng.choice(jumps.marks, size=n_jumps, p=jumps.probabilities)
     X, log = _euler_maruyama(model, np.full(len(times) - 1, step), _rng(seed),
                              jumps=(times, list(zip(epochs, marks)), jrng))

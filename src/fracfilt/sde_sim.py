@@ -106,11 +106,30 @@ class LikelihoodPath:
             raise ValueError("likelihood must stay positive")
 
 
+# widest window [-L, L] the initial-state sampler tries
+_X0_MAX_HALF_WIDTH = 12.0 * 2.0 ** 10
+
+
 def _x0_sampler(model: ModelSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw initial states from p0 by inverse-CDF on a fine grid (works for any
-    bounded smooth density; built-ins are Gaussian so the grid easily covers them)."""
-    xs = np.linspace(-12.0, 12.0, 4001)
-    pdf = np.maximum(np.asarray(model.p0(xs), dtype=float), 0.0)
+    """Draw initial states from p0 by inverse-CDF on 4001 points of [-L, L].
+
+    L starts at 12 and doubles until p0 at both ends is below 1e-16 of its
+    largest sampled value; past _X0_MAX_HALF_WIDTH (or when p0 vanishes on every
+    point) it raises ValueError.  A Gaussian p0 with |mean| + 8.6 std < 12, the
+    built-in default among them, stops at L = 12.
+    """
+    half = 12.0
+    while True:
+        xs = np.linspace(-half, half, 4001)
+        pdf = np.maximum(np.asarray(model.p0(xs), dtype=float), 0.0)
+        if max(pdf[0], pdf[-1]) < 1e-16 * pdf.max():
+            break
+        half *= 2.0
+        if half > _X0_MAX_HALF_WIDTH:
+            raise ValueError(
+                f"p0 keeps mass beyond |x| = {_X0_MAX_HALF_WIDTH:g} or none on the "
+                "sampling grid; cannot draw initial states"
+            )
     cdf = np.cumsum(pdf)
     cdf = cdf / cdf[-1]
     u = rng.uniform(0.0, 1.0, n)

@@ -7,6 +7,7 @@ from fracfilt.fraccalc import (
     GridFunction,
     fractional_integral,
     riemann_liouville_derivative,
+    trapezoid_node_weights,
     trapezoid_weights,
 )
 
@@ -28,6 +29,17 @@ def test_constant_is_exact_at_every_node():
 def test_beta_one_is_plain_integration():
     out = J(T.copy(), 1.0)
     assert out[-1] == pytest.approx(0.5, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 700])
+def test_node_weights_give_the_integral_at_t_n(n):
+    # sum_j w_j f_j is the convolution fractional_integral evaluates by FFT
+    beta = 0.4
+    f = np.cos(3.0 * T)
+    P, Q = trapezoid_weights(beta, len(T) - 1, STEP)
+    w = trapezoid_node_weights(P, Q, n)
+    assert w.shape == (n + 1,)
+    assert w @ f[: n + 1] / gamma(beta) == pytest.approx(J(f, beta)[n], rel=1e-12, abs=1e-15)
 
 
 def test_singular_power_with_analytic_endpoint():

@@ -66,16 +66,19 @@ class TestJumpStateSimulation:
         assert abs(drift.mean() - 2.0) < 3.0 * se
 
     def test_jump_counts_are_poisson(self):
+        # at step 0.6 the grid ends at 1.2, past the horizon 1, and the
+        # count covers the whole grid
         m = pure_jump_model(lam0=2.0)
-        counts = np.array([
-            len(levy_ext.simulate_jump_state(m, 1.0, 0.05, seed=5000 + i).jump_log)
-            for i in range(3000)
-        ])
-        se_mean = counts.std(ddof=1) / np.sqrt(len(counts))
-        assert abs(counts.mean() - 2.0) < 3.0 * se_mean
-        var = counts.var(ddof=1)
-        se_var = var * np.sqrt(2.0 / (len(counts) - 1)) + 0.05
-        assert abs(var - 2.0) < 3.0 * se_var
+        for step in (0.05, 0.6):
+            paths = [levy_ext.simulate_jump_state(m, 1.0, step, seed=5000 + i)
+                     for i in range(3000)]
+            counts = np.array([len(p.jump_log) for p in paths])
+            lam_t = 2.0 * paths[0].times[-1]
+            se_mean = counts.std(ddof=1) / np.sqrt(len(counts))
+            assert abs(counts.mean() - lam_t) < 3.0 * se_mean
+            var = counts.var(ddof=1)
+            se_var = var * np.sqrt(2.0 / (len(counts) - 1)) + 0.05
+            assert abs(var - lam_t) < 3.0 * se_var
 
     def test_negative_rate_rejected(self):
         m = state_jump_model(lam0=1.0)

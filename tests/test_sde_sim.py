@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,23 @@ class TestOneEulerLoop:
             StatePath(times=times, values=np.array([0.0, np.nan, 1.0]))
         with pytest.raises(ValueError, match="increasing"):
             StatePath(times=times, values=np.zeros(3), jump_log=((0.5, 1.0), (0.5, -1.0)))
+
+
+class TestInitialStates:
+    @pytest.mark.parametrize("mean0, std0", [(0.0, 5.0), (20.0, 5.0)])
+    def test_moments_of_p0_reaching_past_twelve(self, mean0, std0):
+        # the sampler's first window [-12, 12] cuts these p0; it has to widen
+        n = 100_000
+        m = named_model("ou-linear", 0.5, mean0=mean0, std0=std0)
+        _, Y, _ = simulate_classical_ensemble(m, 1e-3, 1e-3, seed=3, n_paths=n)
+        x0 = Y[:, 0]
+        assert abs(x0.mean() - mean0) < 3.0 * std0 / np.sqrt(n)
+        assert abs(x0.std(ddof=1) - std0) < 3.0 * std0 / np.sqrt(2.0 * n)
+
+    def test_heavy_tailed_p0_raises(self):
+        m = replace(flat_model(), p0=lambda x: 1.0 / (np.pi * (1.0 + np.asarray(x) ** 2)))
+        with pytest.raises(ValueError, match="p0"):
+            simulate_classical_ensemble(m, 1e-3, 1e-3, seed=3, n_paths=10)
 
 
 class TestDirectTimeChanged:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fracfilt.models import ModelSpec, SpatialGrid, gaussian_density, named_model
+from fracfilt.models import JumpSpec, ModelSpec, SpatialGrid, gaussian_density, named_model
 from fracfilt.sde_sim import ObservationRecord, simulate_classical_pair
 from fracfilt.subordinator import (
     InversePath,
@@ -117,6 +117,50 @@ class TestClockMode:
         zeros = zero_obs(float(np.max(T.values)) * 1.1 + 0.1, 1e-2)
         Phi = solve_fractional_zakai(model, GRID, T, zeros)
         assert np.max(np.abs(Phi.mass() - 1.0)) < 1e-6
+
+
+class TestClockLoopPinned:
+    """Values of the clock-mode loop pinned to repr precision; a rewrite of the
+    loop has to keep these bits."""
+
+    def test_long_ragged_clock(self, monkeypatch):
+        # 2,125 unequal chunks, so the loop crosses several blocks of chunk
+        # factors; the stiff drift a = -4 makes undershoots that get clamped
+        import fracfilt.zakai_fractional as zf
+        calls = []
+        banded = zf.solve_banded
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return banded(*args, **kwargs)
+
+        monkeypatch.setattr(zf, "solve_banded", counted)
+        model = named_model("ou-linear", 0.5, a=-4.0)
+        _, T = sample_inverse_path(0.5, 4.0, 1e-3, seed=7, n_nodes=2001)
+        _, Z = simulate_classical_pair(model, float(T.values.max()) * 1.02 + 1e-3, 1e-3, seed=8)
+        Phi = solve_fractional_zakai(model, GRID, T, Z)
+        assert len(calls) == 2125
+        assert Phi.clamped_mass == 1.21080186252312e-05
+        assert Phi.values[1, 20] == 0.1271797162902219
+        assert Phi.values[700, 28] == 0.20486660047721394
+        assert Phi.values[1400, 30] == 0.0029805728795336333
+        assert Phi.values[2000, 24] == 0.7400856827853166
+
+    def test_state_jump_model(self):
+        base = named_model("ou-linear", 0.5)
+        model = ModelSpec(
+            drift=base.drift, sigma=base.sigma, observation=base.observation,
+            beta=0.5, p0=base.p0,
+            jumps=JumpSpec(intensity=2.0, atoms=[(0.3, 0.5), (-0.3, 0.5)],
+                           state_jump_map=lambda x, w: np.full_like(np.asanyarray(x, dtype=float), w)),
+        )
+        _, T = sample_inverse_path(0.5, 1.0, 1e-3, seed=21, n_nodes=501)
+        _, Z = simulate_classical_pair(base, float(T.values.max()) * 1.02 + 1e-3, 1e-3, seed=22)
+        Phi = solve_fractional_zakai(model, GRID, T, Z)
+        assert Phi.clamped_mass == 0.0
+        assert Phi.values[250, 22] == 0.20226878183874944
+        assert Phi.values[500, 24] == 0.32665583776204116
+        assert Phi.values[500, 30] == 0.13149327854856663
 
 
 class TestKernelMode:
