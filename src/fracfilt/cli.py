@@ -306,6 +306,15 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, list[str]]:
     return (0 if passed else 1), files
 
 
+def _criterion_numbers(text: str) -> set[int]:
+    """--only value: comma-separated numbers of existing acceptance criteria."""
+    count = len(acceptance.ALL_CRITERIA)
+    parts = [p.strip() for p in text.split(",")]
+    if not all(p.isdecimal() and 1 <= int(p) <= count for p in parts):
+        raise argparse.ArgumentTypeError(f"expected criterion numbers 1-{count}, got {text!r}")
+    return {int(p) for p in parts}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="fracfilt", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -314,7 +323,8 @@ def main(argv=None) -> int:
     runp.add_argument("--seed", type=int, default=None, help="override the config seed")
     runp.add_argument("--out", default=None, help="override the output directory")
     checkp = sub.add_parser("check", help="run the built-in acceptance suite")
-    checkp.add_argument("--only", default=None, help="comma-separated criterion numbers")
+    checkp.add_argument("--only", type=_criterion_numbers, default=None,
+                        help="comma-separated criterion numbers")
     args = parser.parse_args(argv)
 
     if args.command == "run":
@@ -338,10 +348,7 @@ def main(argv=None) -> int:
         return status
 
     if args.command == "check":
-        only = None
-        if args.only:
-            only = {int(s) for s in args.only.split(",")}
-        results = acceptance.run_all(only=only, verbose=True)
+        results = acceptance.run_all(only=args.only, verbose=True)
         return 0 if all(r.passed for r in results) else 1
 
     parser.print_help()

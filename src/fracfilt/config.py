@@ -145,6 +145,7 @@ _RANGES = {
     "particles": (lambda v: v >= 100, "particles must be >= 100"),
     "grid_cells": (lambda v: v >= 8, "grid.cells must be >= 8"),
     "seed": (lambda v: 0 <= v < 2 ** 63, "seed must be a 64-bit value"),
+    "checkpoints": (lambda v: len(v) > 0, "checkpoints must list at least one time"),
 }
 
 

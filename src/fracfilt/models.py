@@ -7,9 +7,9 @@ initial density.  Grid solvers are one-dimensional; Monte-Carlo paths may use
 vector-valued h.
 
 The discrete generator A phi = 0.5 a phi'' + b phi' (a = sigma^2) uses central
-differences.  adjoint_matrix builds its exact matrix transpose A*, jumps
-included, with a zero-flux closure at the walls so that the adjoint conserves
-the grid sum exactly; the generator itself is adjoint_matrix(...).T.
+differences.  adjoint_diagonals holds the stencil of its exact transpose A*,
+with zero-flux walls so that the adjoint conserves the grid sum exactly;
+adjoint_matrix adds any state jumps, and the generator is adjoint_matrix(...).T.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "ModelSpec",
     "SpatialGrid",
     "JumpSpec",
+    "adjoint_diagonals",
     "adjoint_matrix",
     "jump_generator_matrix",
     "gaussian_density",
@@ -145,15 +146,15 @@ class ModelSpec:
 # discrete generator and adjoint
 # ---------------------------------------------------------------------------
 
-def adjoint_matrix(model: ModelSpec, grid: SpatialGrid, include_jumps: bool = True) -> sp.csr_matrix:
-    """Divergence-form discretization of A* p = 0.5 (a p)'' - (b p)' with zero-flux walls.
+def adjoint_diagonals(model: ModelSpec, grid: SpatialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Divergence-form discretization of A* p = 0.5 (a p)'' - (b p)' with zero-flux walls,
+    as its (lower, main, upper) diagonals of lengths n - 1, n and n - 1.
 
-    Interior rows are the exact transposes of the central-difference generator
-    stencil; the two wall rows are chosen so every column sums to zero, hence
+    Every entry transposes the central-difference generator stencil except
+    main[0] and main[-1], chosen so every column sums to zero, hence
     sum(A* p) * spacing == 0 for arbitrary p (discrete reflecting closure).
     """
     x = grid.nodes
-    n = grid.n_nodes
     dx = grid.spacing
     a = np.broadcast_to(np.asarray(model.sigma(x), dtype=float) ** 2, x.shape).astype(float)
     b = np.broadcast_to(np.asarray(model.drift(x), dtype=float), x.shape).astype(float)
@@ -161,19 +162,19 @@ def adjoint_matrix(model: ModelSpec, grid: SpatialGrid, include_jumps: bool = Tr
     diff = 0.5 * a / dx ** 2
     adv = b / (2.0 * dx)
 
+    lower = diff[:-1] + adv[:-1]    # entry (j+1, j) carries a_j, b_j
     main = -2.0 * diff
     upper = diff[1:] - adv[1:]      # entry (j, j+1) carries a_{j+1}, b_{j+1}
-    lower = diff[:-1] + adv[:-1]    # entry (j, j-1) carries a_{j-1}, b_{j-1}
-    A = sp.diags([lower, main, upper], offsets=[-1, 0, 1], format="lil")
+    main[0] = -(diff[0] + adv[0])
+    main[-1] = -(diff[-1] - adv[-1])
+    return lower, main, upper
 
-    # zero-flux wall rows: cancel the residual column sums of columns 0, 1, n-2, n-1
-    A[0, 0] = -(diff[0] + adv[0])
-    A[0, 1] = diff[1] - adv[1]
-    A[n - 1, n - 1] = -(diff[n - 1] - adv[n - 1])
-    A[n - 1, n - 2] = diff[n - 2] + adv[n - 2]
 
-    A = A.tocsr()
-    if include_jumps and model.jumps is not None and model.jumps.state_jump_map is not None:
+def adjoint_matrix(model: ModelSpec, grid: SpatialGrid) -> sp.csr_matrix:
+    """The matrix of adjoint_diagonals, plus the transposed state-jump generator
+    for a model with a state jump map."""
+    A = sp.diags(adjoint_diagonals(model, grid), offsets=[-1, 0, 1], format="csr")
+    if model.jumps is not None and model.jumps.state_jump_map is not None:
         A = A + jump_generator_matrix(model, grid).T.tocsr()
     return A
 

@@ -10,10 +10,10 @@ Two discretizations of the same filtering object are provided, selected by the
     equation reduces to d Phi = A* Phi dT_t + h Phi dV_t with V = Z o T.  Each
     real-time step applies Crank-Nicolson over the clock increment dT (split
     into operational chunks of at most 0.02), each chunk followed by the
-    multiplicative observation factor exp(h dV - 0.5 |h|^2 dT).  Chunks of
-    equal length share one sparse LU factorization; otherwise each chunk is
-    one LAPACK dgtsv call, with the observation factors and tridiagonals
-    computed for a block of chunks at a time.  The classical solver
+    multiplicative observation factor exp(h dV - 0.5 |h|^2 dT).  Each chunk
+    is one LAPACK dgtsv call on the tridiagonal stencil of
+    ``models.adjoint_diagonals``, with the observation factors and
+    tridiagonals computed for a block of chunks at a time.  The classical solver
     ``zakai_classical.solve_zakai`` is this stepper on the identity clock
     T_t = t, and the pathwise oracle compares the two.
 
@@ -44,11 +44,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv as _dgtsv
-from scipy.sparse.linalg import splu
 from scipy.special import gamma as _gamma
 
 from .fraccalc import trapezoid_node_weights, trapezoid_weights
-from .models import ModelSpec, SpatialGrid, adjoint_matrix, jump_generator_matrix
+from .models import ModelSpec, SpatialGrid, adjoint_diagonals, adjoint_matrix, jump_generator_matrix
 from .sde_sim import ObservationRecord, _uniform_times
 from .subordinator import InversePath, inverse_density_grid, tail_bound, tau_cutoff, unit_slope_inverse
 
@@ -74,6 +73,9 @@ _DTAU_MAX = 0.02
 
 # chunks whose observation factors and diagonals clock mode computes at once
 _CHUNK_BLOCK = 256
+
+# longest real-time grid whose history solve_fractional_zakai accepts
+_MAX_STEPS = 400_000
 
 # largest g_t weight mass beyond the stored horizon that subordinate_filter accepts
 _TAIL_TOL = 1e-6
@@ -142,8 +144,6 @@ def solve_fractional_zakai(
     T: InversePath,
     obs_operational: ObservationRecord,
     memory: str = "clock",
-    adjoint: sp.spmatrix | None = None,
-    max_steps: int = 400_000,
 ) -> FilterDensityGrid:
     """Advance the fractional Zakai equation on the real-time grid of T.
 
@@ -151,7 +151,7 @@ def solve_fractional_zakai(
     driving increments are dV_k = Z(T(t_{k+1})) - Z(T(t_k)), always interpolated
     from the given record (never resampled).  See the module docstring for the
     two memory semantics.  Raises when Z does not cover max(T), when the
-    history would exceed max_steps, or (kernel mode) when the time step
+    history would exceed _MAX_STEPS, or (kernel mode) when the time step
     violates the explicit stability bound.
     """
     model.validate_on_grid(grid)
@@ -162,31 +162,14 @@ def solve_fractional_zakai(
     if float(np.max(T.values)) > obs_operational.times[-1] + 1e-12:
         raise ValueError("operational observation does not cover max(T); simulate Z further")
     M = len(times) - 1
-    if M > max_steps:
-        raise ValueError(f"history buffer would need {M} steps (> max_steps={max_steps})")
+    if M > _MAX_STEPS:
+        raise ValueError(f"history buffer would need {M} steps (> {_MAX_STEPS})")
     if memory not in ("clock", "kernel"):
         raise ValueError(f"unknown memory mode {memory!r}")
 
     if memory == "clock":
-        return _solve_clock(model, grid, T, obs_operational, adjoint)
-    return _solve_kernel(model, grid, T, obs_operational, adjoint)
-
-
-def _diffusion_diagonals(A: sp.spmatrix, n: int):
-    dia = sp.dia_matrix(A)
-    lower = np.zeros(n)
-    main = np.zeros(n)
-    upper = np.zeros(n)
-    for off, data in zip(dia.offsets, dia.data):
-        if off == 0:
-            main[:] = data
-        elif off == 1:
-            upper[:] = data
-        elif off == -1:
-            lower[:] = data
-        else:
-            raise ValueError("diffusion adjoint must be tridiagonal")
-    return lower, main, upper
+        return _solve_clock(model, grid, T, obs_operational)
+    return _solve_kernel(model, grid, T, obs_operational)
 
 
 # keeps scipy's name and is called through the module: the benchmark counts CN chunks by it
@@ -202,16 +185,15 @@ def solve_banded(dl, d, du, b):
     return x
 
 
-def _solve_clock(model, grid, T, obs, adjoint):
+def _solve_clock(model, grid, T, obs):
     """Crank-Nicolson along the clock T, the one stepper of every grid Zakai solve.
 
     Real-time step k covers dT_k in ceil(dT_k / _DTAU_MAX) equal chunks (none on
     a plateau).  A chunk of operational length d maps u to
     2 (I - d/2 A)^-1 (u + d/2 A_J u) - u, which is (I - d/2 A)^-1 (I + d/2 A) u
     plus the explicit step of the bounded state-jump operator A_J, and then
-    multiplies by exp(h dV - 0.5 |h|^2 d).  When every chunk has the same
-    length (to 1e-9 relative, the rounding of a uniform grid), I - d/2 A is
-    factored once; otherwise each chunk is one LAPACK dgtsv call.  The
+    multiplies by exp(h dV - 0.5 |h|^2 d).  A is the tridiagonal stencil of
+    adjoint_diagonals, and each chunk is one LAPACK dgtsv call.  The
     observation factors and the diagonals of I - d/2 A are computed for
     _CHUNK_BLOCK chunks at a time, so the working memory does not grow with
     the number of chunks.  Negative undershoots are clamped to zero after each
@@ -222,14 +204,11 @@ def _solve_clock(model, grid, T, obs, adjoint):
     h = model.h_matrix(x)
     hsq = 0.5 * np.sum(h * h, axis=1)
 
+    lower, main, upper = adjoint_diagonals(model, grid)
     has_jumps = model.jumps is not None and model.jumps.state_jump_map is not None \
         and model.jumps.intensity > 0.0
     if has_jumps:
-        A = adjoint_matrix(model, grid, include_jumps=False)
         A_jump = jump_generator_matrix(model, grid).T.tocsr()
-    else:
-        A = adjoint_matrix(model, grid, include_jumps=False) if adjoint is None else adjoint
-    lower, main, upper = _diffusion_diagonals(A, n)
 
     # every chunk of the solve at once: step k owns chunks first[k]:first[k + 1],
     # whose edges are the points of linspace(T_k, T_{k+1}, n_sub[k] + 1); the
@@ -245,21 +224,15 @@ def _solve_clock(model, grid, T, obs, adjoint):
     delta = np.diff(edges)
     dV = _time_changed_increments(obs, edges)
 
-    lu = None
-    if delta.size and np.allclose(delta, delta[0], rtol=1e-9, atol=0.0):
-        lu = splu(sp.csc_matrix(sp.identity(n) - 0.5 * delta[0] * A))
-
     def block(c):
-        """Observation factors and (unless factored once) the diagonals of
-        I - d/2 A for chunks c:c + _CHUNK_BLOCK, one row per chunk."""
+        """Observation factors and the diagonals of I - d/2 A for chunks
+        c:c + _CHUNK_BLOCK, one row per chunk."""
         d = delta[c:c + _CHUNK_BLOCK, None]
         factor = dV[c:c + _CHUNK_BLOCK] @ h.T
         factor -= hsq * d
         np.exp(factor, out=factor)
-        if lu is not None:
-            return factor, None, None, None
-        s = 0.5 * d                          # 0.0 - x keeps +0.0 where A has no entry
-        return factor, 0.0 - s * lower[:-1], 1.0 - s * main, 0.0 - s * upper[1:]
+        s = 0.5 * d                          # 0.0 - x keeps +0.0 where A has a zero entry
+        return factor, 0.0 - s * lower, 1.0 - s * main, 0.0 - s * upper
 
     u = np.maximum(np.asarray(model.p0(x), dtype=float), 0.0)
     Phi = np.empty((len(T.times), n))
@@ -272,10 +245,7 @@ def _solve_clock(model, grid, T, obs, adjoint):
                 factor = dl = dd = du = None        # one block alive at a time
                 factor, dl, dd, du = block(c)
             rhs = u + (0.5 * delta[c]) * (A_jump @ u) if has_jumps else u
-            if lu is not None:
-                v = lu.solve(rhs)
-            else:
-                v = solve_banded(dl[i], dd[i], du[i], rhs)
+            v = solve_banded(dl[i], dd[i], du[i], rhs)
             v *= 2.0
             v -= u
             v *= factor[i]
@@ -288,12 +258,12 @@ def _solve_clock(model, grid, T, obs, adjoint):
     return FilterDensityGrid(grid=grid, times=T.times.copy(), values=Phi, clamped_mass=clamped)
 
 
-def _solve_kernel(model, grid, T, obs, adjoint):
+def _solve_kernel(model, grid, T, obs):
     beta = model.beta
     times = T.times
     dt = T.step
     M = len(times) - 1
-    A = adjoint_matrix(model, grid) if adjoint is None else adjoint
+    A = adjoint_matrix(model, grid)
     dt_max = stable_step(beta, A)
     if dt > dt_max:
         raise ValueError(
@@ -389,7 +359,7 @@ def quadrature_and_kernel(model: ModelSpec, grid: SpatialGrid, t: float, step: f
     quadrature = subordinate_filter(beta, t, solve_zakai(free, grid, zeros))
     A = adjoint_matrix(free, grid)
     T = unit_slope_inverse(t, min(step, stable_step(beta, A)))
-    Phi = solve_fractional_zakai(free, grid, T, zeros, memory="kernel", adjoint=A)
+    Phi = solve_fractional_zakai(free, grid, T, zeros, memory="kernel")
     return free, zeros, quadrature, Phi.at_time(t)
 
 

@@ -88,6 +88,12 @@ class TestParseConfig:
             parse_config("step = fast\n")
         assert "line 1" in err.value.problems[0]
 
+    def test_empty_checkpoints_rejected_with_line(self):
+        # an empty list let run = oracle pass having compared nothing
+        with pytest.raises(ConfigError) as err:
+            parse_config("run = oracle\ncheckpoints =\n")
+        assert "line 2" in err.value.problems[0] and "checkpoints" in err.value.problems[0]
+
     def test_expression_validation_at_parse_time(self):
         with pytest.raises(ConfigError) as err:
             parse_config("model.drift = x ** 3\n")
@@ -244,6 +250,14 @@ class TestCLIEntry:
         p.write_text("run = zakai\nmodel = bogus\n")
         assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "unknown model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("only", ["99", "0", "12", "1,x", "x", "1,,2"])
+    def test_unknown_criterion_is_usage_error(self, only, capsys):
+        # at least one entry names no criterion: nothing runs, exit 2
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--only", only])
+        assert exc.value.code == 2
+        assert "criterion numbers 1-11" in capsys.readouterr().err
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2

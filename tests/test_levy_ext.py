@@ -123,7 +123,7 @@ class TestJumpStateSolver:
         T = unit_slope_inverse(horizon, dt)
         nt = int(round(1.2 / 1e-2))
         zeros = ObservationRecord(times=1e-2 * np.arange(nt + 1), values=np.zeros(nt + 1))
-        Phi = solve_fractional_zakai(model, grid, T, zeros, memory="kernel", adjoint=A)
+        Phi = solve_fractional_zakai(model, grid, T, zeros, memory="kernel")
         # oracle: per-step Poisson thinning of the jump times on a fixed grid
         rng = np.random.Generator(np.random.Philox(key=4321))
         npaths, steps = 100_000, 500

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fracfilt.models import (
     JumpSpec,
     ModelSpec,
     SpatialGrid,
+    adjoint_diagonals,
     adjoint_matrix,
     gaussian_density,
+    jump_generator_matrix,
     named_model,
 )
 
@@ -103,6 +106,15 @@ class TestJumps:
         p = np.exp(-grid.nodes ** 2)
         out = adjoint_matrix(self.jump_model(), grid) @ p
         assert abs(np.sum(out) * grid.spacing) < 1e-10
+
+    def test_matrix_is_diffusion_diagonals_plus_jumps(self):
+        grid = SpatialGrid(-4.0, 4.0, 64)
+        m = self.jump_model()
+        lower, main, upper = adjoint_diagonals(m, grid)
+        assert (lower.size, main.size, upper.size) == (64, 65, 64)
+        expected = sp.diags([lower, main, upper], offsets=[-1, 0, 1]) \
+            + jump_generator_matrix(m, grid).T
+        assert (adjoint_matrix(m, grid) != expected).nnz == 0
 
     def test_atom_probabilities_validated(self):
         with pytest.raises(ValueError):

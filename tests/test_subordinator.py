@@ -277,7 +277,9 @@ class TestInverseDensity:
         )
 
     def test_normalization(self):
-        for beta, t in [(0.3, 0.5), (0.5, 1.0), (0.8, 2.0)]:
+        # beta near 0 and 1 and extreme t, alone and combined
+        for beta, t in [(0.3, 0.5), (0.5, 1.0), (0.8, 2.0), (0.05, 1.0), (0.95, 1.0),
+                        (0.5, 1e-3), (0.5, 50.0), (0.05, 1e-3), (0.95, 50.0)]:
             hi = tau_cutoff(beta, t, 1e-14)
             val, _ = quad(lambda x: inverse_density_grid(beta, t, x)[()], 0.0, hi, limit=300)
             assert abs(val - 1.0) < 1e-6
@@ -322,6 +324,8 @@ class TestLaplaceIdentity:
 
     def test_other_beta(self):
         assert laplace_identity_residual(0.8, 2.0, [1.0]) < 1e-4
+        for beta in (0.05, 0.95):     # near both ends of (0, 1)
+            assert laplace_identity_residual(beta, 1.0, [0.5, 1.0, 2.0]) < 1e-4
 
 
 class TestPathTypes:
