@@ -1,14 +1,19 @@
 """Built-in acceptance suite: one callable per criterion, shared by the CLI
 `check` command and the pytest acceptance module.
 
-Every check pins its tolerance explicitly and reports the measured quantities
-in its details dict.  Randomized checks use fixed seeds; nothing reads entropy
-from the environment.
+Each criterion is declared once, by `_criterion(number, name, budget_s)` over a
+body that returns (passed, details); the declaration registers it in
+ALL_CRITERIA, times it, fails it past its wall-clock budget and builds its
+CheckResult.  Every check pins its tolerance explicitly and reports the
+measured quantities in its details dict.  Randomized checks use fixed seeds;
+nothing reads entropy from the environment.
 """
 
 from __future__ import annotations
 
 import filecmp
+import functools
+import math
 import os
 import tempfile
 import time
@@ -26,7 +31,7 @@ from .fraccalc import (
     trapezoid_node_weights,
     trapezoid_weights,
 )
-from .models import JumpSpec, ModelSpec, SpatialGrid, adjoint_matrix, named_model
+from .models import JumpSpec, ModelSpec, SpatialGrid, gaussian_density, named_model
 from .sde_sim import (
     ObservationRecord,
     StatePath,
@@ -37,8 +42,6 @@ from .sde_sim import (
 )
 from . import levy_ext
 from .subordinator import (
-    DensityQuery,
-    inverse_density,
     inverse_density_grid,
     laplace_identity_residual,
     sample_inverse_path,
@@ -51,7 +54,6 @@ from .zakai_fractional import (
     pathwise_oracle_report,
     quadrature_and_kernel,
     solve_fractional_zakai,
-    stable_step,
     subordinate_filter,
 )
 
@@ -86,31 +88,50 @@ def _panel_quad(fn, lo: float, hi: float, panels: int = 8, order: int = 64) -> f
 # criteria
 # ---------------------------------------------------------------------------
 
-def criterion_1() -> CheckResult:
+ALL_CRITERIA = []
+
+
+def _criterion(number: int, name: str, budget_s: float = math.inf):
+    """Declare a criterion; its CheckResult fails when the body runs for budget_s or longer."""
+    def register(body):
+        @functools.wraps(body)
+        def run() -> CheckResult:
+            clock = time.perf_counter
+            t0 = clock()
+            passed, details = body()
+            rt = clock() - t0
+            return CheckResult(number, name, bool(passed) and rt < budget_s, rt, details)
+
+        run.number = number
+        run.budget_s = budget_s
+        ALL_CRITERIA.append(run)
+        return run
+
+    return register
+
+
+@_criterion(1, "inverse-density closed form (beta=1/2)", budget_s=10.0)
+def criterion_1():
     """beta = 1/2 closed form of the inverse density on a 100 x 100 (t, tau) grid."""
-    t0 = time.perf_counter()
     ts = np.linspace(0.05, 2.0, 100)
     taus = np.linspace(0.0, 4.0, 100)
     T, TAU = np.meshgrid(ts, taus, indexing="ij")
     G = inverse_density_grid(0.5, T.ravel(), TAU.ravel()).reshape(T.shape)
     exact = np.exp(-TAU ** 2 / (4.0 * T)) / np.sqrt(np.pi * T)
     err = float(np.max(np.abs(G - exact)) / exact.max())
-    rt = time.perf_counter() - t0
-    return CheckResult(1, "inverse-density closed form (beta=1/2)", err < 1e-6 and rt < 10.0, rt,
-                       {"scaled_error": err, "tolerance": 1e-6})
+    return err < 1e-6, {"scaled_error": err, "tolerance": 1e-6}
 
 
-def criterion_2() -> CheckResult:
+@_criterion(2, "boundary, Laplace, and normalization suite for g_t", budget_s=60.0)
+def criterion_2():
     """Boundary value, Laplace identity, and normalization of g_t."""
-    t0 = time.perf_counter()
     details = {}
     ok = True
 
     worst_b = 0.0
     for beta, t in [(0.6, 2.0), (0.3, 0.5), (0.8, 1.5)]:
         target = t ** (-beta) / gamma(1.0 - beta)
-        val0 = inverse_density(DensityQuery(beta=beta, t=t, tau=0.0))
-        val_eps = inverse_density(DensityQuery(beta=beta, t=t, tau=1e-8))
+        val0, val_eps = inverse_density_grid(beta, t, [0.0, 1e-8])
         worst_b = max(worst_b, abs(val0 - target), abs(val_eps - target))
     details["boundary_error"] = worst_b
     ok &= worst_b < 1e-6
@@ -132,15 +153,12 @@ def criterion_2() -> CheckResult:
             worst_n = max(worst_n, abs(mass - 1.0))
     details["normalization_error"] = worst_n
     ok &= worst_n < 1e-6
-
-    rt = time.perf_counter() - t0
-    ok &= rt < 60.0
-    return CheckResult(2, "boundary, Laplace, and normalization suite for g_t", bool(ok), rt, details)
+    return ok, details
 
 
-def criterion_3() -> CheckResult:
+@_criterion(3, "memory-kernel relation for g (fractional identity)", budget_s=60.0)
+def criterion_3():
     """g_t(tau) = -d/dtau J^beta_t g_t(tau) at interior points of a 50-point tau grid."""
-    t0 = time.perf_counter()
     # tau >= 0.5 keeps the t-integrand's startup layer (width ~ tau**(1/beta))
     # resolvable by the uniform grid at every beta tested
     tgrid = np.linspace(0.0, 1.0, 1025)
@@ -161,15 +179,12 @@ def criterion_3() -> CheckResult:
         deriv = -(J[:n] - J[n:]) / (2.0 * h)
         gval = inverse_density_grid(beta, 1.0, inner)
         worst = max(worst, float(np.max(np.abs(deriv - gval) / gval)))
-    rt = time.perf_counter() - t0
-    return CheckResult(3, "memory-kernel relation for g (fractional identity)",
-                       worst < 1e-3 and rt < 60.0, rt,
-                       {"worst_relative_residual": worst, "tolerance": 1e-3})
+    return worst < 1e-3, {"worst_relative_residual": worst, "tolerance": 1e-3}
 
 
-def criterion_4() -> CheckResult:
+@_criterion(4, "Riemann-Liouville identities", budget_s=10.0)
+def criterion_4():
     """Discrete fractional-calculus identities."""
-    t0 = time.perf_counter()
     details = {}
     step = 1e-3
     t = step * np.arange(1001)
@@ -213,15 +228,12 @@ def criterion_4() -> CheckResult:
         worst_i = max(worst_i, float(np.max(np.abs(d - f)) / np.max(np.abs(f))))
     details["inversion_relative_error"] = worst_i
     ok &= worst_i < 1e-2
-
-    rt = time.perf_counter() - t0
-    ok &= rt < 10.0
-    return CheckResult(4, "Riemann-Liouville identities", bool(ok), rt, details)
+    return ok, details
 
 
-def criterion_5() -> CheckResult:
+@_criterion(5, "Kalman-Bucy oracle for the classical solver", budget_s=120.0)
+def criterion_5():
     """Normalized Zakai moments track the Kalman-Bucy reference on a linear model."""
-    t0 = time.perf_counter()
     a, sig, c = -1.0, np.sqrt(2.0), 1.0
     model = named_model("ou-linear", 0.5, a=a, sigma_const=sig, c=c)
     step = 1e-3
@@ -236,16 +248,14 @@ def criterion_5() -> CheckResult:
         m, v = grid_moments(grid, dens)
         sup_m = max(sup_m, abs(m - mref[k]))
         sup_v = max(sup_v, abs(v - pref[k]))
-    rt = time.perf_counter() - t0
     tol = 5e-2
-    return CheckResult(5, "Kalman-Bucy oracle for the classical solver",
-                       sup_m < tol and sup_v < tol and rt < 120.0, rt,
-                       {"sup_mean_error": sup_m, "sup_var_error": sup_v, "tolerance": tol})
+    return (sup_m < tol and sup_v < tol,
+            {"sup_mean_error": sup_m, "sup_var_error": sup_v, "tolerance": tol})
 
 
-def criterion_6() -> CheckResult:
+@_criterion(6, "pathwise fractional oracle (composition identity)", budget_s=300.0)
+def criterion_6():
     """Pathwise oracle: fractional solution equals the classical one at the random clock."""
-    t0 = time.perf_counter()
     beta = 0.5
     # relaxing (non-stationary) initial density so the comparison has dynamics
     model = named_model("ou-linear", beta, mean0=1.0, std0=0.7)
@@ -258,17 +268,15 @@ def criterion_6() -> CheckResult:
     Phi = solve_fractional_zakai(model, grid, T, Z)
     rows = pathwise_oracle_report(Phi, U, T, [0.25, 0.5, 1.0])
     worst = max(r["l1"] for r in rows)
-    rt = time.perf_counter() - t0
     tol = 5e-2
-    return CheckResult(6, "pathwise fractional oracle (composition identity)",
-                       worst < tol and rt < 300.0, rt,
-                       {"worst_l1": worst, "tolerance": tol, "tau_max": tau_max})
+    return worst < tol, {"worst_l1": worst, "tolerance": tol, "tau_max": tau_max}
 
 
-def criterion_7() -> CheckResult:
+@_criterion(7, "subordination identity (quadrature vs ensemble vs kernel solver)",
+            budget_s=600.0)
+def criterion_7():
     """Subordination identity, observation-free case: g-quadrature of the classical
     flow vs the average of 1000 fractional solves vs the kernel-mode solve."""
-    t0 = time.perf_counter()
     beta, t_eval = 0.5, 1.0
     base = named_model("ou-linear", beta, mean0=1.0, std0=0.7)
     grid = SpatialGrid(-6.0, 6.0, 48)
@@ -283,26 +291,21 @@ def criterion_7() -> CheckResult:
     ens = subordinate_filter(beta, t_eval, solves)
     dist_ens = l1_distance(grid, quadr, ens)
     dist_kernel = l1_distance(grid, quadr, kernel)
-
-    rt = time.perf_counter() - t0
     tol = 1e-2
-    ok = dist_ens < tol and dist_kernel < tol and rt < 600.0
-    return CheckResult(7, "subordination identity (quadrature vs ensemble vs kernel solver)",
-                       bool(ok), rt,
-                       {"l1_ensemble": dist_ens, "l1_kernel": dist_kernel, "tolerance": tol})
+    return (dist_ens < tol and dist_kernel < tol,
+            {"l1_ensemble": dist_ens, "l1_kernel": dist_kernel, "tolerance": tol})
 
 
-def criterion_8() -> CheckResult:
+@_criterion(8, "classical limit beta=0.999 (kernel memory, unit clock)", budget_s=120.0)
+def criterion_8():
     """beta -> 1 limit of the fractional kernel: unit-slope clock reproduces solve_zakai.
 
     Uses the bounded-observation model (the theory's boundedness condition);
     the kernel mode's additive observation coupling has noise error scaling
     with sup|h|^2 sqrt(dt), so an unbounded h would need impractical steps.
     """
-    t0 = time.perf_counter()
     beta = 0.999
     base = named_model("benes-like", beta)
-    from .models import gaussian_density
     model = ModelSpec(drift=base.drift, sigma=base.sigma, observation=base.observation,
                       beta=beta, p0=gaussian_density(-0.8, 0.8), name="benes-relax")
     grid = SpatialGrid(-6.0, 6.0, 48)
@@ -310,21 +313,16 @@ def criterion_8() -> CheckResult:
     horizon = 1.0
     _, Z = simulate_classical_pair(model, horizon + step, step, seed=99)
     U = solve_zakai(model, grid, Z)
-    A = adjoint_matrix(model, grid)
-    if step > stable_step(beta, A):
-        raise RuntimeError("test resolution violates the stability bound")
     T = unit_slope_inverse(horizon, step)
     Phi = solve_fractional_zakai(model, grid, T, Z, memory="kernel")
     dist = l1_distance(grid, Phi.at_time(horizon), U.at_time(horizon))
-    rt = time.perf_counter() - t0
     tol = 5e-2
-    return CheckResult(8, "classical limit beta=0.999 (kernel memory, unit clock)",
-                       dist < tol and rt < 120.0, rt, {"l1": dist, "tolerance": tol})
+    return dist < tol, {"l1": dist, "tolerance": tol}
 
 
-def criterion_9() -> CheckResult:
+@_criterion(9, "Monte-Carlo consistency (particles vs grid posterior)", budget_s=300.0)
+def criterion_9():
     """Particle Kallianpur-Striebel estimate vs normalized Zakai posterior mean."""
-    t0 = time.perf_counter()
     model = named_model("ou-linear", 0.5)
     step = 1e-3
     _, Z = simulate_classical_pair(model, 2.0, step, seed=314)
@@ -339,16 +337,13 @@ def criterion_9() -> CheckResult:
         m, _ = grid_moments(grid, dens)
         se = max(ks.posterior_sd[k], 1e-12)
         worst_ratio = max(worst_ratio, abs(ks.values[k] - m) / (3.0 * se))
-    rt = time.perf_counter() - t0
-    ok = worst_ratio < 1.0 and not ks.weight_collapse and rt < 300.0
-    return CheckResult(9, "Monte-Carlo consistency (particles vs grid posterior)",
-                       bool(ok), rt,
-                       {"worst_error_over_3se": worst_ratio, "weight_collapse": ks.weight_collapse})
+    return (worst_ratio < 1.0 and not ks.weight_collapse,
+            {"worst_error_over_3se": worst_ratio, "weight_collapse": ks.weight_collapse})
 
 
-def criterion_10() -> CheckResult:
+@_criterion(10, "jump suite (finite-activity filters)", budget_s=600.0)
+def criterion_10():
     """Jump suite: degenerations, martingale means, hand-computed likelihood, equation residual."""
-    t0 = time.perf_counter()
     details = {}
     ok = True
     beta = 0.5
@@ -365,9 +360,7 @@ def criterion_10() -> CheckResult:
     step = 2e-3
     horizon = 0.25
     _, Z = simulate_classical_pair(base, horizon + step, step, seed=17)
-    A0 = adjoint_matrix(base, grid)
-    dt = min(step, stable_step(beta, A0))
-    T = unit_slope_inverse(horizon, dt)
+    T = unit_slope_inverse(horizon, step)
     Phi_a = solve_fractional_zakai(jump_model, grid, T, Z)
     Phi_b = solve_fractional_zakai(base, grid, T, Z)
     d_deg = float(np.max(np.abs(Phi_a.values - Phi_b.values)))
@@ -465,15 +458,12 @@ def criterion_10() -> CheckResult:
     d_nu0 = float(np.max(np.abs(res0.posterior - ks.values)))
     details["nu0_degeneration"] = d_nu0
     ok &= d_nu0 < 1e-10
-
-    rt = time.perf_counter() - t0
-    ok &= rt < 600.0
-    return CheckResult(10, "jump suite (finite-activity filters)", bool(ok), rt, details)
+    return ok, details
 
 
-def criterion_11() -> CheckResult:
+@_criterion(11, "determinism: byte-identical CSV per seed")
+def criterion_11():
     """Identical seeds produce byte-identical CSV artifacts."""
-    t0 = time.perf_counter()
     from .cli import run_experiment
 
     cfg_text = "\n".join([
@@ -512,23 +502,13 @@ def criterion_11() -> CheckResult:
     finally:
         if env_override is not None:
             os.environ["FRACFILT_OUT"] = env_override
-    rt = time.perf_counter() - t0
-    return CheckResult(11, "determinism: byte-identical CSV per seed",
-                       identical and produced > 0, rt, {"csv_files_compared": produced})
-
-
-ALL_CRITERIA = [
-    criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
-    criterion_6, criterion_7, criterion_8, criterion_9, criterion_10,
-    criterion_11,
-]
+    return identical and produced > 0, {"csv_files_compared": produced}
 
 
 def run_all(only=None, verbose: bool = False) -> list[CheckResult]:
     results = []
     for fn in ALL_CRITERIA:
-        number = int(fn.__name__.split("_")[1])
-        if only is not None and number not in only:
+        if only is not None and fn.number not in only:
             continue
         res = fn()
         results.append(res)

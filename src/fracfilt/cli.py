@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -20,8 +19,7 @@ from . import acceptance, levy_ext
 from .config import ConfigError, ExperimentConfig, parse_config
 from .csvio import write_csv, write_summary
 from .models import ModelSpec, SpatialGrid, named_model
-from .sde_sim import (ObservationRecord, simulate_classical_pair,
-                      simulate_time_changed_state_direct, time_change_pair)
+from .sde_sim import simulate_classical_pair, simulate_time_changed_state_direct, time_change_pair
 from .subordinator import inverse_density_grid, sample_inverse_path
 from .zakai_classical import grid_moments, solve_zakai
 from .zakai_fractional import (
@@ -138,8 +136,6 @@ def _run_frac_zakai(cfg, out):
 def _run_oracle(cfg, out):
     model = _build_model(cfg)
     grid = _grid(cfg)
-    if any(t <= 0.0 or t > cfg.horizon for t in cfg.checkpoints):
-        raise ValueError("oracle checkpoints must lie in (0, horizon]")
     D, T = _clock(cfg)
     _, Z = simulate_classical_pair(model, D.times[-1], cfg.step, cfg.seed + 1)
     U = solve_zakai(model, grid, Z)
@@ -217,39 +213,6 @@ def _run_jump_filter(cfg, out):
     return passed, summary, files
 
 
-def _run_benchmark(cfg, out):
-    from .subordinator import _series_switch, sample_standard_stable, stable_density
-    rows = []
-
-    def clock(name, fn, reps=3):
-        best = min(_timed(fn) for _ in range(reps))
-        rows.append((name, best))
-
-    rng = np.random.Generator(np.random.Philox(key=1))
-    # each stable_density branch on its own: u below the switch point takes the
-    # integral branch, u from it upward the series
-    switch = _series_switch(cfg.beta)
-    below = np.linspace(0.05, switch, 10_000, endpoint=False)
-    above = switch * np.linspace(1.0, 10.0, 10_000)
-    clock("stable_density_integral_10k_points", lambda: stable_density(cfg.beta, below))
-    clock("stable_density_series_10k_points", lambda: stable_density(cfg.beta, above))
-    clock("stable_sampler_1e6", lambda: sample_standard_stable(cfg.beta, 1_000_000, rng))
-    model = _build_model(cfg)
-    grid = _grid(cfg)
-    nt = 1000
-    times = cfg.step * np.arange(nt + 1)
-    zeros = ObservationRecord(times=times, values=np.zeros(nt + 1))
-    clock("classical_zakai_1000_steps", lambda: solve_zakai(model, grid, zeros), reps=1)
-    files = [write_csv(os.path.join(out, "benchmark.csv"), ["operation", "seconds"], rows)]
-    return True, {"run": "benchmark", "pass": True}, files
-
-
-def _timed(fn):
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
-
-
 def _emit_density_files(out, grid, times, values, prefix, extra_cols=None):
     stride = max(1, (len(times) - 1) // 20)
     snap_rows = []
@@ -286,7 +249,6 @@ _RUNNERS = {
     "oracle": _run_oracle,
     "subordinate": _run_subordinate,
     "jump-filter": _run_jump_filter,
-    "benchmark": _run_benchmark,
 }
 
 

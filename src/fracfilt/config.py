@@ -26,7 +26,6 @@ RUN_KINDS = (
     "oracle",
     "subordinate",
     "jump-filter",
-    "benchmark",
 )
 
 
@@ -203,8 +202,13 @@ def parse_config(text: str) -> ExperimentConfig:
         setattr(cfg, attr, parsed)
     if cfg.grid_lower >= cfg.grid_upper:
         problems.append("grid.lower must be below grid.upper")
+    steps = cfg.horizon / cfg.step
     if cfg.horizon < cfg.step:
         problems.append(f"horizon {cfg.horizon} must be at least one step ({cfg.step})")
+    elif abs(steps - round(steps)) > 1e-9 * steps:
+        problems.append(f"horizon {cfg.horizon} must be a whole number of steps ({cfg.step})")
+    if cfg.run == "oracle" and not all(0.0 < t <= cfg.horizon for t in cfg.checkpoints):
+        problems.append(f"oracle checkpoints must lie in (0, horizon {cfg.horizon}]")
     if problems:
         raise ConfigError(problems)
     return cfg

@@ -23,13 +23,12 @@ from scipy.special import gamma, gammaln, roots_legendre
 __all__ = [
     "SubordinatorPath",
     "InversePath",
-    "DensityQuery",
     "sample_stable_path",
     "invert_path",
     "sample_inverse_path",
     "stable_density",
     "stable_cdf",
-    "inverse_density",
+    "inverse_density_grid",
     "inverse_mean",
     "sample_inverse_marginal",
     "laplace_identity_residual",
@@ -122,22 +121,6 @@ class InversePath:
     def at(self, t):
         """Linear interpolation of T at arbitrary times inside the grid."""
         return np.interp(t, self.times, self.values)
-
-
-@dataclass(frozen=True)
-class DensityQuery:
-    """Point (t, tau) at which the inverse-subordinator density is requested."""
-
-    beta: float
-    t: float
-    tau: float
-
-    def __post_init__(self):
-        _check_beta(self.beta)
-        if self.t <= 0.0:
-            raise ValueError("t must be positive")
-        if self.tau < 0.0:
-            raise ValueError("tau must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -380,26 +363,22 @@ def stable_cdf(beta: float, u) -> np.ndarray | float:
     return out if np.ndim(u) else float(out[0])
 
 
-def inverse_density(q: DensityQuery) -> float:
-    """Density g_t(tau) of the inverse subordinator T_t.
+def inverse_density_grid(beta: float, t, tau) -> np.ndarray:
+    """Density g_t(tau) of the inverse subordinator T_t, vectorized over arrays of
+    t > 0 and tau >= 0 (broadcast together).
 
     g_t(tau) = t / (beta tau^(1 + 1/beta)) f(t / tau^(1/beta)) for tau > 0, with
     the boundary value g_t(0) = t^(-beta) / Gamma(1 - beta).
     """
-    return float(inverse_density_grid(q.beta, q.t, np.asarray([q.tau]))[0])
-
-
-def inverse_density_grid(beta: float, t, tau) -> np.ndarray:
-    """Vectorized g_t(tau) over arrays of t > 0 and tau >= 0 (broadcast together)."""
     beta = _check_beta(beta)
     t_b, tau_b = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(tau, dtype=float))
     shape = t_b.shape
     t_arr = np.atleast_1d(t_b).ravel()
     tau_arr = np.atleast_1d(tau_b).ravel()
     if np.any(t_arr <= 0.0):
-        raise ValueError("inverse_density requires t > 0")
+        raise ValueError("inverse_density_grid requires t > 0")
     if np.any(tau_arr < 0.0):
-        raise ValueError("inverse_density requires tau >= 0")
+        raise ValueError("inverse_density_grid requires tau >= 0")
     out = np.empty(t_arr.shape)
     # the boundary value is also used for tau so small that t/tau^(1/beta)
     # would overflow; g extends continuously to tau = 0

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from fracfilt import cli, config
 from fracfilt.cli import main, run_experiment
 from fracfilt.config import ConfigError, compile_expression, parse_config
 
@@ -79,9 +80,39 @@ class TestParseConfig:
             parse_config("run = zakai\nmodel = bogus\n")
         assert "line 2" in err.value.problems[0] and "unknown model" in err.value.problems[0]
 
-    def test_unknown_run_kind(self):
-        with pytest.raises(ConfigError):
-            parse_config("run = fly-to-the-moon\n")
+    @pytest.mark.parametrize("kind", ["bogus", "benchmark"])
+    def test_unknown_run_kind_rejected_with_line(self, kind):
+        # benchmark was a timing table; perfbench/ times those operations now
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"beta = 0.5\nrun = {kind}\n")
+        assert "line 2" in err.value.problems[0] and "unknown run kind" in err.value.problems[0]
+
+    def test_run_kinds_match_runners(self):
+        assert set(config.RUN_KINDS) == set(cli._RUNNERS)
+
+    @pytest.mark.parametrize("checkpoints", ["0.25 0.5 1.0", "0 0.25", "-0.1"])
+    def test_oracle_checkpoint_outside_horizon_rejected(self, checkpoints):
+        text = f"run = oracle\nhorizon = 0.5\nstep = 2e-3\ncheckpoints = {checkpoints}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert "checkpoints must lie in (0, horizon" in err.value.problems[0]
+
+    def test_checkpoints_beyond_horizon_allowed_for_other_runs(self):
+        # the checkpoints only mean something to run = oracle
+        cfg = parse_config("run = subordinate\nhorizon = 0.5\nstep = 1e-3\n")
+        assert cfg.checkpoints == (0.25, 0.5, 1.0)
+
+    @pytest.mark.parametrize("horizon,step", [(1.0, 0.75), (1.0, 0.3), (0.25, 2.4e-3)])
+    def test_horizon_not_whole_steps_rejected(self, horizon, step):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"run = zakai\nhorizon = {horizon}\nstep = {step}\n")
+        assert "whole number of steps" in err.value.problems[0]
+
+    @pytest.mark.parametrize("horizon,step", [(0.05, 1e-3), (0.1, 1e-3), (0.25, 2e-3)])
+    def test_horizon_whole_steps_accepted_despite_rounding(self, horizon, step):
+        # 0.05 / 1e-3 is 50.000000000000004 in float64
+        cfg = parse_config(f"run = zakai\nhorizon = {horizon}\nstep = {step}\n")
+        assert cfg.horizon == horizon and cfg.step == step
 
     def test_bad_number(self):
         with pytest.raises(ConfigError) as err:
@@ -182,16 +213,6 @@ class TestRunner:
             if f.endswith(".csv"):
                 assert "clamped" not in open(f).readline()
 
-    def test_benchmark_run_times_each_density_branch(self, tmp_path):
-        cfg = parse_config("run = benchmark\nbeta = 0.5\n")
-        cfg.out_dir = str(tmp_path / "out")
-        status, files = run_experiment(cfg)
-        assert status == 0
-        lines = (tmp_path / "out" / "benchmark.csv").read_text().splitlines()
-        seconds = dict(line.split(",") for line in lines[1:])
-        for row in ("stable_density_integral_10k_points", "stable_density_series_10k_points"):
-            assert float(seconds[row]) > 0.0
-
     def test_env_var_overrides_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "env_out"
         monkeypatch.setenv("FRACFILT_OUT", str(target))
@@ -236,6 +257,22 @@ class TestCLIEntry:
         p.write_text("run = frac-zakai\nhorizon = 1e-4\nstep = 1e-3\n")
         assert main(["run", str(p)]) == 2
         assert "at least one step" in capsys.readouterr().err
+
+    def test_oracle_checkpoint_past_horizon_is_usage_error(self, tmp_path, capsys):
+        # default checkpoints 0.25 0.5 1.0; 1.0 lies past the horizon
+        p = tmp_path / "short.cfg"
+        p.write_text("run = oracle\nhorizon = 0.5\nstep = 2e-3\n")
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "checkpoints must lie in (0, horizon" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["zakai", "frac-zakai"])
+    def test_horizon_not_whole_steps_is_usage_error(self, tmp_path, capsys, kind):
+        # zakai stopped at t = 0.75, frac-zakai ran to t = 1 on a step of 1.0
+        p = tmp_path / "ragged.cfg"
+        p.write_text(f"run = {kind}\nhorizon = 1.0\nstep = 0.75\n")
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "whole number of steps" in capsys.readouterr().err
 
     def test_run_via_main_with_overrides(self, tmp_path, capsys):
         p = tmp_path / "ok.cfg"

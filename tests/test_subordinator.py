@@ -6,10 +6,8 @@ from scipy.special import gamma
 
 from fracfilt import subordinator
 from fracfilt.subordinator import (
-    DensityQuery,
     InversePath,
     SubordinatorPath,
-    inverse_density,
     inverse_density_grid,
     inverse_mean,
     invert_path,
@@ -265,14 +263,14 @@ class TestStableDensity:
 
 class TestInverseDensity:
     def test_boundary_limit(self):
-        q = DensityQuery(beta=0.6, t=2.0, tau=0.0)
-        assert inverse_density(q) == pytest.approx(2.0 ** (-0.6) / gamma(0.4), rel=1e-12)
+        assert float(inverse_density_grid(0.6, 2.0, 0.0)) == pytest.approx(
+            2.0 ** (-0.6) / gamma(0.4), rel=1e-12)
 
     def test_half_closed_form(self):
-        assert inverse_density(DensityQuery(0.5, 1.0, 0.0)) == pytest.approx(
+        assert float(inverse_density_grid(0.5, 1.0, 0.0)) == pytest.approx(
             1.0 / np.sqrt(np.pi), rel=1e-12
         )
-        assert inverse_density(DensityQuery(0.5, 1.0, 1.0)) == pytest.approx(
+        assert float(inverse_density_grid(0.5, 1.0, 1.0)) == pytest.approx(
             np.exp(-0.25) / np.sqrt(np.pi), rel=1e-9
         )
 
@@ -289,7 +287,7 @@ class TestInverseDensity:
         g = inverse_density_grid(0.5, 1.0, taus)
         assert np.all(g >= 0.0)
         tau_big = tau_cutoff(0.5, 1.0, 1e-9)
-        assert inverse_density(DensityQuery(0.5, 1.0, tau_big)) < 1e-8
+        assert float(inverse_density_grid(0.5, 1.0, tau_big)) < 1e-8
         assert tail_bound(0.5, 1.0, tau_big) < 1e-8
 
     @pytest.mark.parametrize("beta,t", [(1.2, 1.0), (0.0, 1.0), (0.5, -1.0), (0.5, 0.0)])
@@ -308,9 +306,9 @@ class TestInverseDensity:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            DensityQuery(0.5, 0.0, 1.0)
+            inverse_density_grid(0.5, 0.0, 1.0)
         with pytest.raises(ValueError):
-            DensityQuery(0.5, 1.0, -0.5)
+            inverse_density_grid(0.5, 1.0, -0.5)
         with pytest.raises(ValueError):
             inverse_density_grid(0.5, -1.0, 0.5)
 
