@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import acceptance, levy_ext
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import _RANGES, ConfigError, ExperimentConfig, parse_config
 from .csvio import write_csv, write_summary
 from .models import ModelSpec, SpatialGrid, named_model
 from .sde_sim import simulate_classical_pair, simulate_time_changed_state_direct, time_change_pair
@@ -301,6 +301,10 @@ def main(argv=None) -> int:
                 print(f"config error: {p}", file=sys.stderr)
             return 2
         if args.seed is not None:
+            ok, msg = _RANGES["seed"]
+            if not ok(args.seed):
+                print(f"config error: {msg} (--seed {args.seed})", file=sys.stderr)
+                return 2
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out_dir = args.out

@@ -21,7 +21,11 @@ Two discretizations of the same filtering object are provided, selected by the
     Expectation semantics.  The memory term is the deterministic fractional
     integral J^beta of the stored A* Phi history (product-trapezoidal weights,
     fully explicit with the endpoint sample extrapolated), and the observation
-    term is the accumulated left-point sum of h Phi dV.  With h = 0 this
+    term is the accumulated left-point sum of h Phi dV.  The weights depend
+    on the lag only and are built once.  The history stored before a block
+    of _HISTORY_BLOCK steps enters the block by one FFT convolution per node,
+    and each step adds only the rows of its own block, so M steps on n nodes
+    cost O((M/B) M log M n + M B n) rather than O(M^2 n).  With h = 0 this
     marches the time-fractional Fokker-Planck equation, whose solution is the
     g-weighted subordination average of the classical flow; it is the beta -> 1
     classical-limit surrogate.  Explicit stepping imposes the restriction
@@ -42,11 +46,12 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.fft import irfft as _irfft, next_fast_len as _next_fast_len, rfft as _rfft
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv as _dgtsv
 from scipy.special import gamma as _gamma
 
-from .fraccalc import trapezoid_node_weights, trapezoid_weights
+from .fraccalc import trapezoid_weights
 from .models import ModelSpec, SpatialGrid, adjoint_diagonals, adjoint_matrix, jump_generator_matrix
 from .sde_sim import ObservationRecord, _uniform_times
 from .subordinator import InversePath, inverse_density_grid, tail_bound, tau_cutoff, unit_slope_inverse
@@ -73,6 +78,9 @@ _DTAU_MAX = 0.02
 
 # chunks whose observation factors and diagonals clock mode computes at once
 _CHUNK_BLOCK = 256
+
+# kernel-mode steps whose earlier history one FFT convolution covers
+_HISTORY_BLOCK = 1024
 
 # longest real-time grid whose history solve_fractional_zakai accepts
 _MAX_STEPS = 400_000
@@ -259,6 +267,21 @@ def _solve_clock(model, grid, T, obs):
 
 
 def _solve_kernel(model, grid, T, obs):
+    """Explicit product-trapezoid march of the memory form of the equation.
+
+    Phi_{k+1} = p0 + J^beta[A* Phi](t_{k+1}) + sum_{i <= k} (h dV_i) Phi_i, with
+    the unknown endpoint sample A* Phi_{k+1} extrapolated by A* Phi_k.  In
+    Gamma(beta) J^beta the stored samples hist[j] = A* Phi_j carry weights
+    from the arrays P, Q of trapezoid_weights: Q[k] on hist[0], the lag weight
+    c[k - j] = Q[k - j] + P[k - j + 1] on hist[j] for 0 < j <= k, and P[0]
+    more on hist[k] for the extrapolated endpoint.  The lag weights are built
+    once, with no per-step weight array.  For each block of B = _HISTORY_BLOCK
+    steps [K, E), the part of the sum over hist[1:K] is one circular FFT
+    convolution per node, written into the block's rows of Phi; each step
+    then adds the rows of its own block with one dot.  A solve of M steps on
+    n nodes costs O((M/B) M log M n + M B n) instead of O(M^2 n), and needs
+    O(M) working memory beyond Phi and hist.
+    """
     beta = model.beta
     times = T.times
     dt = T.step
@@ -276,6 +299,8 @@ def _solve_kernel(model, grid, T, obs):
     dV = _time_changed_increments(obs, T.values)
 
     P, Q = trapezoid_weights(beta, max(M, 1), dt)
+    # lag weights c[0..M - 2] reversed: c[k - j] for j = J..k is c_rev[M - 2 - k + J:]
+    c_rev = (Q[:-1] + P[1:])[::-1].copy()
     gamma_beta = _gamma(beta)
     p0 = np.maximum(np.asarray(model.p0(x), dtype=float), 0.0)
 
@@ -284,21 +309,44 @@ def _solve_kernel(model, grid, T, obs):
     hist = np.empty((M, n))                    # hist[j] = A* Phi(t_j)
     obs_acc = np.zeros(n)
     clamped = 0.0
-    for k in range(M):
-        hist[k] = A @ Phi[k]
-        # trapezoidal J^beta with the unknown endpoint sample extrapolated
-        # from step k (fully explicit): weights Q_{n-j} on f_j, P_{n-j} on f_{j+1}
-        nw = k + 1
-        wts = trapezoid_node_weights(P, Q, nw)
-        memory = (wts[:nw] @ hist[:nw] + wts[nw] * hist[k]) / gamma_beta
-        obs_acc = obs_acc + (h @ dV[k]) * Phi[k]
-        u = p0 + memory + obs_acc
-        neg = u < 0.0
-        if neg.any():
-            clamped += float(-u[neg].sum() * grid.spacing)
-            u[neg] = 0.0
-        Phi[k + 1] = u
+    for K in range(0, M, _HISTORY_BLOCK):
+        E = min(K + _HISTORY_BLOCK, M)
+        # Phi[k + 1] first holds the sum over hist[1:K], then becomes Phi_{k+1}
+        _history_before(c_rev[::-1], hist, K, E, out=Phi[K + 1:E + 1])
+        J = max(K, 1)
+        for k in range(K, E):
+            hist[k] = A @ Phi[k]
+            u = Phi[k + 1]
+            u += c_rev[M - 2 - k + J:] @ hist[J:k + 1]
+            u += Q[k] * hist[0] + P[0] * hist[k]
+            u /= gamma_beta
+            u += p0
+            obs_acc += (h @ dV[k]) * Phi[k]
+            u += obs_acc
+            neg = u < 0.0
+            if neg.any():
+                clamped += float(-u[neg].sum() * grid.spacing)
+                u[neg] = 0.0
     return FilterDensityGrid(grid=grid, times=times.copy(), values=Phi, clamped_mass=clamped)
+
+
+def _history_before(c, hist, K, E, out):
+    """out[k - K] = sum_{0 < j < K} c[k - j] hist[j] for the steps k in [K, E).
+
+    The lags k - j run over 1..E - 2, so the kept rows K - 2..E - 3 of the
+    convolution of c[1:E - 1] with hist[1:K] need no index past E - 3: a
+    circular FFT of length >= E - 2 gives them without wrap-around.  One
+    column at a time keeps the transient FFT arrays at O(E).
+    """
+    if K < 2:
+        out[:] = 0.0
+        return
+    L = _next_fast_len(E - 2, True)
+    fc = _rfft(c[1:E - 1], L)
+    for i in range(hist.shape[1]):
+        spec = _rfft(hist[1:K, i], L)
+        spec *= fc
+        out[:, i] = _irfft(spec, L)[K - 2:E - 2]
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,15 @@ class TestCLIEntry:
         assert (tmp_path / "o" / "run_summary.txt").exists()
         assert "seed = 2" in (tmp_path / "o" / "run_summary.txt").read_text()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_override_out_of_range_is_usage_error(self, tmp_path, capsys, seed):
+        # the override gets the config file's range check, not an OverflowError
+        p = tmp_path / "ok.cfg"
+        p.write_text("run = density\nbeta = 0.5\nseed = 1\n")
+        assert main(["run", str(p), "--seed", seed, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: seed must be a 64-bit value" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_model_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("run = zakai\nmodel = bogus\n")

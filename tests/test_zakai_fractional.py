@@ -1,8 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import gamma
 
-from fracfilt.models import JumpSpec, ModelSpec, SpatialGrid, gaussian_density, named_model
+import fracfilt.zakai_fractional as zf
+from fracfilt.fraccalc import trapezoid_node_weights, trapezoid_weights
+from fracfilt.models import (
+    JumpSpec,
+    ModelSpec,
+    SpatialGrid,
+    adjoint_matrix,
+    gaussian_density,
+    named_model,
+)
 from fracfilt.sde_sim import ObservationRecord, simulate_classical_pair
 from fracfilt.subordinator import (
     InversePath,
@@ -35,6 +47,45 @@ def zero_obs(horizon, step):
     n = int(round(horizon / step))
     t = step * np.arange(n + 1)
     return ObservationRecord(times=t, values=np.zeros(n + 1))
+
+
+def direct_kernel_solve(model, grid, T, obs):
+    """Kernel mode with the O(M^2) history: node weights rebuilt and the whole
+    history summed at every step.  Returns the profiles and the clamped mass."""
+    M = len(T.times) - 1
+    n = grid.n_nodes
+    A = adjoint_matrix(model, grid)
+    h = model.h_matrix(grid.nodes)
+    dV = np.diff(np.interp(T.values, obs.times, obs.values))[:, None]
+    P, Q = trapezoid_weights(model.beta, max(M, 1), T.step)
+    p0 = np.maximum(model.p0(grid.nodes), 0.0)
+    Phi = np.empty((M + 1, n))
+    Phi[0] = p0
+    hist = np.empty((M, n))
+    obs_acc = np.zeros(n)
+    clamped = 0.0
+    for k in range(M):
+        hist[k] = A @ Phi[k]
+        wts = trapezoid_node_weights(P, Q, k + 1)
+        memory = (wts[:k + 1] @ hist[:k + 1] + wts[k + 1] * hist[k]) / gamma(model.beta)
+        obs_acc = obs_acc + (h @ dV[k]) * Phi[k]
+        u = p0 + memory + obs_acc
+        neg = u < 0.0
+        if neg.any():
+            clamped += float(-u[neg].sum() * grid.spacing)
+            u[neg] = 0.0
+        Phi[k + 1] = u
+    return Phi, clamped
+
+
+def kernel_inputs(model, grid, M, scale, seed):
+    """A unit-slope clock of M steps at the admissible step and a scalar
+    observation path whose increments are scale * sqrt(dt) normals."""
+    dt = stable_step(model.beta, adjoint_matrix(model, grid))
+    t = dt * np.arange(M + 1)
+    rng = np.random.default_rng(seed)
+    z = np.concatenate(([0.0], np.cumsum(scale * np.sqrt(dt) * rng.standard_normal(M))))
+    return InversePath(times=t, values=t.copy()), ObservationRecord(times=t, values=z)
 
 
 class TestClockMode:
@@ -230,6 +281,53 @@ class TestKernelMode:
         T = unit_slope_inverse(1.0, step)
         Phi = solve_fractional_zakai(model, GRID, T, Z, memory="kernel")
         assert l1_distance(GRID, Phi.at_time(1.0), U.at_time(1.0)) < 5e-2
+
+
+class TestKernelHistory:
+    """The blocked FFT history against the direct per-step sum."""
+
+    B = zf._HISTORY_BLOCK
+
+    @pytest.mark.parametrize("M", [B - 1, B, B + 1, 2 * B + 3])
+    def test_matches_direct_history(self, M):
+        model = relaxing_ou(0.5)                 # h(x) = x: the observation sum runs
+        T, obs = kernel_inputs(model, GRID, M, 1.0, seed=M)
+        ref, _ = direct_kernel_solve(model, GRID, T, obs)
+        Phi = solve_fractional_zakai(model, GRID, T, obs, memory="kernel")
+        assert np.max(np.abs(Phi.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_clamped_mass_matches_direct_history(self):
+        # large observation increments drive the additive h Phi dV sum negative
+        model = relaxing_ou(0.5)
+        T, obs = kernel_inputs(model, GRID, 2 * self.B + 3, 30.0, seed=7)
+        ref, clamped = direct_kernel_solve(model, GRID, T, obs)
+        Phi = solve_fractional_zakai(model, GRID, T, obs, memory="kernel")
+        assert clamped > 1.0
+        assert Phi.clamped_mass == pytest.approx(clamped, rel=1e-12)
+        assert np.max(np.abs(Phi.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_many_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(zf, "_HISTORY_BLOCK", 7)
+        model = relaxing_ou(0.5)
+        T, obs = kernel_inputs(model, GRID, 100, 1.0, seed=3)
+        ref, _ = direct_kernel_solve(model, GRID, T, obs)
+        Phi = solve_fractional_zakai(model, GRID, T, obs, memory="kernel")
+        assert np.max(np.abs(Phi.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_working_memory_stays_near_history(self):
+        # Phi and the A* Phi history are the solve's two (M, n) arrays; what the
+        # FFT history needs on top must stay a fraction of one of them
+        model = relaxing_ou(0.5)
+        M, n = 3 * self.B + 5, GRID.n_nodes
+        T, obs = kernel_inputs(model, GRID, M, 1.0, seed=11)
+        tracemalloc.start()
+        try:
+            solve_fractional_zakai(model, GRID, T, obs, memory="kernel")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one = M * n * 8
+        assert peak < one + (M + 1) * n * 8 + 0.25 * one
 
 
 class TestErrors:
