@@ -28,6 +28,13 @@ def closed_form_half_density(u):
     return 1.0 / (2.0 * np.sqrt(np.pi)) * u ** (-1.5) * np.exp(-1.0 / (4.0 * u))
 
 
+def live_y(beta, n):
+    """n geometric points of y = u**(-beta/(1-beta)) over the integral branch's
+    live range, from the series switch to the underflow point a0 y = 708."""
+    return np.geomspace(0.7 ** (1.0 / (1.0 - beta)),
+                        subordinator._LOG_TINY / subordinator._a_zero(beta), n)
+
+
 class TestSampling:
     def test_laplace_transform_monte_carlo(self):
         # E[exp(-s D_1)] = exp(-s**beta) at s = 1, beta = 0.7
@@ -225,6 +232,16 @@ class TestStableDensity:
         with pytest.raises(ValueError):
             stable_density(1.2, 1.0)
 
+    def test_nan_is_a_domain_error(self):
+        with pytest.raises(ValueError):
+            stable_density(0.5, np.nan)
+        with pytest.raises(ValueError):
+            stable_density(0.5, [1.0, np.nan])
+
+    def test_cdf_nan_is_a_domain_error(self):
+        with pytest.raises(ValueError):
+            stable_cdf(0.5, np.nan)
+
     def test_super_exponential_underflow_region(self):
         # far below the concentration scale a double underflows; exact zero there
         assert stable_density(0.8, 1e-4) == 0.0
@@ -252,6 +269,39 @@ class TestStableDensity:
         live = single != 0.0
         assert live.sum() > 100
         assert np.max(np.abs(batch[live] - single[live]) / single[live]) <= 1e-14
+
+    @pytest.mark.parametrize("beta", [0.001, 0.02, 0.3, 0.5, 0.8, 0.95, 0.99])
+    def test_chebyshev_table_matches_its_quadrature(self, beta):
+        # live range: from the series switch to the underflow point a0 y = 708
+        _, _, coef = subordinator._chebyshev_table(beta)
+        assert not coef.flags.writeable
+        y = live_y(beta, 3000)
+        table = subordinator._zolotarev_integral(y, beta)
+        reference = subordinator._zolotarev_quadrature(y, beta)
+        assert np.max(np.abs(table / reference - 1.0)) <= 1e-11
+
+    @pytest.mark.parametrize("beta", [0.995, 0.999])
+    def test_chebyshev_table_refused_falls_back_to_quadrature(self, beta):
+        assert subordinator._chebyshev_table(beta) is None
+        # interior points: the round trip through u may push an end point out
+        u = live_y(beta, 502)[1:-1] ** (-(1.0 - beta) / beta)
+        y = u ** (-beta / (1.0 - beta))
+        a0 = subordinator._a_zero(beta)
+        pref = beta / ((1.0 - beta) * np.pi)
+        reference = (pref * u ** (-1.0 / (1.0 - beta)) * np.exp(-a0 * y)
+                     * subordinator._zolotarev_quadrature(y, beta))
+        assert np.array_equal(subordinator._stable_density_integral(u, beta), reference)
+
+    @pytest.mark.parametrize("beta", [0.001, 0.3, 0.5, 0.8, 0.99])
+    def test_chebyshev_panels_agree_at_their_edges(self, beta):
+        lo, width, _ = subordinator._chebyshev_table(beta)
+        for k in range(1, subordinator._CHEB_PANELS):
+            edge = np.exp(lo + k * width)
+            y = np.array([edge * (1.0 - 1e-13), edge * (1.0 + 1e-13)])
+            # one point on each side of the edge
+            assert np.array_equal(np.floor((np.log(y) - lo) / width), [k - 1, k])
+            left, right = subordinator._zolotarev_integral(y, beta)
+            assert abs(left / right - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("beta", [0.02, 0.5, 0.99])
     def test_log_a_table_strictly_increasing(self, beta):
@@ -311,6 +361,11 @@ class TestInverseDensity:
             inverse_density_grid(0.5, 1.0, -0.5)
         with pytest.raises(ValueError):
             inverse_density_grid(0.5, -1.0, 0.5)
+
+    @pytest.mark.parametrize("t,tau", [(np.nan, 1.0), (1.0, np.nan)])
+    def test_nan_is_a_domain_error(self, t, tau):
+        with pytest.raises(ValueError):
+            inverse_density_grid(0.5, t, tau)
 
 
 class TestLaplaceIdentity:
