@@ -17,7 +17,7 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import beta as beta_fn
@@ -306,8 +306,7 @@ def criterion_8():
     """
     beta = 0.999
     base = named_model("benes-like", beta)
-    model = ModelSpec(drift=base.drift, sigma=base.sigma, observation=base.observation,
-                      beta=beta, p0=gaussian_density(-0.8, 0.8), name="benes-relax")
+    model = replace(base, p0=gaussian_density(-0.8, 0.8), name="benes-relax")
     grid = SpatialGrid(-6.0, 6.0, 48)
     step = 1e-3
     horizon = 1.0
@@ -350,12 +349,8 @@ def criterion_10():
 
     # (a) lam0 = 0 state-jump solver degenerates to the diffusion solver exactly
     base = named_model("ou-linear", beta)
-    jump_model = ModelSpec(
-        drift=base.drift, sigma=base.sigma, observation=base.observation,
-        beta=beta, p0=base.p0,
-        jumps=JumpSpec(intensity=0.0, atoms=[(0.3, 1.0)], state_jump_map=lambda x, w: np.full_like(x, w)),
-        name="ou+jumps0",
-    )
+    jump_model = replace(base, name="ou+jumps0", jumps=JumpSpec(
+        intensity=0.0, atoms=[(0.3, 1.0)], state_jump_map=lambda x, w: np.full_like(x, w)))
     grid = SpatialGrid(-6.0, 6.0, 32)
     step = 2e-3
     horizon = 0.25
@@ -447,10 +442,7 @@ def criterion_10():
 
     # nu = 0 degeneration: filter equals the continuous-observation particle
     # estimate on the time-changed pair, same seed, to machine precision
-    nu0 = ModelSpec(
-        drift=jm.drift, sigma=jm.sigma, observation=jm.observation, beta=beta, p0=jm.p0,
-        jumps=JumpSpec(intensity=0.0, atoms=[(1.0, 1.0)], obs_rate=jm.jumps.obs_rate),
-    )
+    nu0 = replace(jm, jumps=JumpSpec(intensity=0.0, atoms=[(1.0, 1.0)], obs_rate=jm.jumps.obs_rate))
     obs0 = ObservationRecord(times=T.times, values=obs.values)
     res0 = levy_ext.fractional_filter_jump_obs(nu0, T, obs0, f, n_particles=500, seed=321)
     ks = kallianpur_striebel_estimate(nu0, obs0, f, n_particles=500, seed=321,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,15 +40,8 @@ def _build_model(cfg: ExperimentConfig) -> ModelSpec:
     drift, sigma, obs = cfg.coefficient_overrides()
     if drift is None and sigma is None and obs is None:
         return base
-    return ModelSpec(
-        drift=drift or base.drift,
-        sigma=sigma or base.sigma,
-        observation=obs or base.observation,
-        beta=cfg.beta,
-        p0=base.p0,
-        jumps=base.jumps,
-        name=cfg.model + "+custom",
-    )
+    return replace(base, drift=drift or base.drift, sigma=sigma or base.sigma,
+                   observation=obs or base.observation, name=cfg.model + "+custom")
 
 
 def _grid(cfg: ExperimentConfig) -> SpatialGrid:

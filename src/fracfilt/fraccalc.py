@@ -4,7 +4,8 @@ J^beta is the fractional integral (convolution with t^(beta-1)/Gamma(beta));
 the fractional derivative of order 1-beta is d/dt J^beta.  The quadrature is
 the product-trapezoidal (L1-type) rule, exact for piecewise-linear data, so
 J^beta applied to a constant reproduces t^beta/Gamma(1+beta) at every node up
-to roundoff.
+to roundoff.  Its lag sum is one FFT convolution, _lag_convolution, which
+kernel-mode Zakai solves also use for their blocked history.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gamma
 
 __all__ = [
@@ -72,10 +73,33 @@ def trapezoid_node_weights(P: np.ndarray, Q: np.ndarray, n: int) -> np.ndarray:
     return w
 
 
+def _lag_convolution(c: np.ndarray, x: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
+    """out[r - lo] = sum_i c[r - i] x[i] for the rows lo <= r < hi, per column of x.
+
+    These are rows lo..hi-1 of the linear convolution of c with each column of
+    the 2-D x.  Each column takes one circular rfft of a fast length at least
+    hi and at least the full convolution length minus lo, so no product wraps
+    into the kept rows.  Columns go one at a time, so the transient arrays stay
+    O(len(c) + len(x)).  An empty x gives zeros.
+    """
+    c, x = c[:hi], x[:hi]                # later entries reach no kept row
+    if len(x) == 0:
+        out[:] = 0.0
+        return
+    L = next_fast_len(max(hi, len(c) + len(x) - 1 - lo), True)
+    fc = rfft(c, L)
+    for i in range(x.shape[1]):
+        spec = rfft(x[:, i], L)
+        spec *= fc
+        out[:, i] = irfft(spec, L)[lo:hi]
+
+
 def fractional_integral(f: GridFunction, beta: float) -> GridFunction:
     """(J^beta f)(t_k) for all grid nodes; (J^beta f)(0) = 0.
 
     beta in (0, 1]; beta = 1 reduces to the plain cumulative trapezoid integral.
+    Gamma(beta) J^beta f(t_n) = Q_n f_0 + P_1 f_n + sum_{0<j<n} (Q_{n-j} + P_{n-j+1}) f_j,
+    the node weights of trapezoid_node_weights, with the sum one lag convolution.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"fractional integral order must lie in (0, 1], got {beta}")
@@ -85,11 +109,9 @@ def fractional_integral(f: GridFunction, beta: float) -> GridFunction:
     if M == 0:
         return GridFunction(step=f.step, values=out)
     P, Q = trapezoid_weights(beta, M, f.step)
-    ext = np.concatenate(([0.0], Q))
-    older = fftconvolve(vals, ext)[1 : M + 1]
-    ext = np.concatenate(([0.0], P))
-    newer = fftconvolve(vals[1:], ext)[1 : M + 1]
-    out[1:] = (older + newer) / gamma(beta)
+    _lag_convolution(Q[:-1] + P[1:], vals[1:M, None], 0, M - 1, out=out[2:, None])
+    out[1:] += Q * vals[0] + P[0] * vals[1:]
+    out[1:] /= gamma(beta)
     return GridFunction(step=f.step, values=out)
 
 

@@ -60,8 +60,9 @@ _BLOCK = 128
 # segment breakpoints in w = (a(phi) - a(0)) * u**(-beta/(1-beta)) space; the
 # integrand a * exp(-w) varies by a bounded factor inside each segment, so a
 # fixed-order rule per segment resolves both the small-u and large-u layers
+# (near the series switch at beta = 0.99, a grows ~1e11-fold before w = 1e-7)
 _W_BREAKS = np.array(
-    [1e-7, 1e-5, 1e-3, 1e-2, 0.05, 0.2, 0.5, 1.0, 2.0, 4.0, 7.0, 11.0, 17.0, 25.0, 35.0, 46.0]
+    [1e-11, 1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 0.05, 0.2, 0.5, 1.0, 2.0, 4.0, 7.0, 11.0, 17.0, 25.0, 35.0, 46.0]
 )
 
 # piecewise-Chebyshev table of log I(y) in log y: uniform panels, first-kind

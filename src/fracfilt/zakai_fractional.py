@@ -23,9 +23,10 @@ Two discretizations of the same filtering object are provided, selected by the
     fully explicit with the endpoint sample extrapolated), and the observation
     term is the accumulated left-point sum of h Phi dV.  The weights depend
     on the lag only and are built once.  The history stored before a block
-    of _HISTORY_BLOCK steps enters the block by one FFT convolution per node,
-    and each step adds only the rows of its own block, so M steps on n nodes
-    cost O((M/B) M log M n + M B n) rather than O(M^2 n).  With h = 0 this
+    of _HISTORY_BLOCK steps enters the block by one FFT convolution per node
+    (fraccalc._lag_convolution, as in fractional_integral), and each step
+    adds only the rows of its own block, so M steps on n nodes cost
+    O((M/B) M log M n + M B n) rather than O(M^2 n).  With h = 0 this
     marches the time-fractional Fokker-Planck equation, whose solution is the
     g-weighted subordination average of the classical flow; it is the beta -> 1
     classical-limit surrogate.  Explicit stepping imposes the restriction
@@ -41,17 +42,16 @@ quadrature-subordination profile (observation-free case).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import irfft as _irfft, next_fast_len as _next_fast_len, rfft as _rfft
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv as _dgtsv
 from scipy.special import gamma as _gamma
 
-from .fraccalc import trapezoid_weights
+from .fraccalc import _lag_convolution, trapezoid_weights
 from .models import ModelSpec, SpatialGrid, adjoint_diagonals, adjoint_matrix, jump_generator_matrix
 from .sde_sim import ObservationRecord, _uniform_times
 from .subordinator import InversePath, inverse_density_grid, tail_bound, tau_cutoff, unit_slope_inverse
@@ -276,11 +276,12 @@ def _solve_kernel(model, grid, T, obs):
     c[k - j] = Q[k - j] + P[k - j + 1] on hist[j] for 0 < j <= k, and P[0]
     more on hist[k] for the extrapolated endpoint.  The lag weights are built
     once, with no per-step weight array.  For each block of B = _HISTORY_BLOCK
-    steps [K, E), the part of the sum over hist[1:K] is one circular FFT
-    convolution per node, written into the block's rows of Phi; each step
-    then adds the rows of its own block with one dot.  A solve of M steps on
-    n nodes costs O((M/B) M log M n + M B n) instead of O(M^2 n), and needs
-    O(M) working memory beyond Phi and hist.
+    steps [K, E), the part of the sum over hist[1:K] is one FFT convolution
+    per node (fraccalc._lag_convolution, shared with fractional_integral),
+    written into the block's rows of Phi; each step then adds the rows of its
+    own block with one dot.  A solve of M steps on n nodes costs
+    O((M/B) M log M n + M B n) instead of O(M^2 n), and needs O(M) working
+    memory beyond Phi and hist.
     """
     beta = model.beta
     times = T.times
@@ -299,8 +300,9 @@ def _solve_kernel(model, grid, T, obs):
     dV = _time_changed_increments(obs, T.values)
 
     P, Q = trapezoid_weights(beta, max(M, 1), dt)
-    # lag weights c[0..M - 2] reversed: c[k - j] for j = J..k is c_rev[M - 2 - k + J:]
-    c_rev = (Q[:-1] + P[1:])[::-1].copy()
+    # lag weights c[0..M - 2], and reversed: c[k - j] for j = J..k is c_rev[M - 2 - k + J:]
+    c = Q[:-1] + P[1:]
+    c_rev = c[::-1].copy()
     gamma_beta = _gamma(beta)
     p0 = np.maximum(np.asarray(model.p0(x), dtype=float), 0.0)
 
@@ -312,7 +314,9 @@ def _solve_kernel(model, grid, T, obs):
     for K in range(0, M, _HISTORY_BLOCK):
         E = min(K + _HISTORY_BLOCK, M)
         # Phi[k + 1] first holds the sum over hist[1:K], then becomes Phi_{k+1}
-        _history_before(c_rev[::-1], hist, K, E, out=Phi[K + 1:E + 1])
+        # lags k - j run over 1..E - 2, so c[1:E - 1] against hist[1:K] gives
+        # the steps k in [K, E) as rows K - 2..E - 3 of that convolution
+        _lag_convolution(c[1:E - 1], hist[1:K], K - 2, E - 2, out=Phi[K + 1:E + 1])
         J = max(K, 1)
         for k in range(K, E):
             hist[k] = A @ Phi[k]
@@ -328,25 +332,6 @@ def _solve_kernel(model, grid, T, obs):
                 clamped += float(-u[neg].sum() * grid.spacing)
                 u[neg] = 0.0
     return FilterDensityGrid(grid=grid, times=times.copy(), values=Phi, clamped_mass=clamped)
-
-
-def _history_before(c, hist, K, E, out):
-    """out[k - K] = sum_{0 < j < K} c[k - j] hist[j] for the steps k in [K, E).
-
-    The lags k - j run over 1..E - 2, so the kept rows K - 2..E - 3 of the
-    convolution of c[1:E - 1] with hist[1:K] need no index past E - 3: a
-    circular FFT of length >= E - 2 gives them without wrap-around.  One
-    column at a time keeps the transient FFT arrays at O(E).
-    """
-    if K < 2:
-        out[:] = 0.0
-        return
-    L = _next_fast_len(E - 2, True)
-    fc = _rfft(c[1:E - 1], L)
-    for i in range(hist.shape[1]):
-        spec = _rfft(hist[1:K, i], L)
-        spec *= fc
-        out[:, i] = _irfft(spec, L)[K - 2:E - 2]
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +384,8 @@ def quadrature_and_kernel(model: ModelSpec, grid: SpatialGrid, t: float, step: f
     """
     from .zakai_classical import solve_zakai    # zakai_classical imports this module
     beta = model.beta
-    free = ModelSpec(drift=model.drift, sigma=model.sigma,
-                     observation=lambda x: np.zeros_like(np.asanyarray(x, dtype=float)),
-                     beta=beta, p0=model.p0, name=model.name + "/h=0")
+    free = replace(model, observation=lambda x: np.zeros_like(np.asanyarray(x, dtype=float)),
+                   jumps=None, name=model.name + "/h=0")
     times = _uniform_times(tau_cutoff(beta, t, 1e-9), step)
     zeros = ObservationRecord(times=times, values=np.zeros(len(times)))
     quadrature = subordinate_filter(beta, t, solve_zakai(free, grid, zeros))

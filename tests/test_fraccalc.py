@@ -5,11 +5,13 @@ from scipy.special import betainc, gamma
 
 from fracfilt.fraccalc import (
     GridFunction,
+    _lag_convolution,
     fractional_integral,
     riemann_liouville_derivative,
     trapezoid_node_weights,
     trapezoid_weights,
 )
+from fracfilt.zakai_fractional import _HISTORY_BLOCK as B
 
 STEP = 1e-3
 T = STEP * np.arange(1001)
@@ -40,6 +42,22 @@ def test_node_weights_give_the_integral_at_t_n(n):
     w = trapezoid_node_weights(P, Q, n)
     assert w.shape == (n + 1,)
     assert w @ f[: n + 1] / gamma(beta) == pytest.approx(J(f, beta)[n], rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("len_c, len_x, lo, hi", [
+    (699, 699, 0, 699),                              # fractional_integral: c against f[1:M]
+    (2 * B - 2, B - 1, B - 2, 2 * B - 2),            # kernel history, block K = B
+    (2 * B + 1, 2 * B - 1, 2 * B - 2, 2 * B + 1),    # last partial block K = 2B, E = K + 3
+    (50, 40, 10, 30),                                # entries past hi reach no kept row
+])
+def test_lag_convolution_matches_direct(len_c, len_x, lo, hi):
+    rng = np.random.default_rng(len_c + lo)
+    c = rng.standard_normal(len_c)
+    x = rng.standard_normal((len_x, 3))
+    out = np.full((hi - lo, 3), np.nan)
+    _lag_convolution(c, x, lo, hi, out)
+    ref = np.column_stack([np.convolve(c, col)[lo:hi] for col in x.T])
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_singular_power_with_analytic_endpoint():

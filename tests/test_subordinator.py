@@ -303,6 +303,15 @@ class TestStableDensity:
             left, right = subordinator._zolotarev_integral(y, beta)
             assert abs(left / right - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("beta", [0.8, 0.95, 0.99])
+    def test_integral_meets_series_below_the_switch(self, beta):
+        # the integral branch, table and all, must join the convergent series
+        # where stable_density hands over to it
+        u = subordinator._series_switch(beta) * np.array([1.0 - 1e-12, 1.0 - 1e-6, 0.999])
+        integral = subordinator._stable_density_integral(u, beta)
+        series = subordinator._stable_density_series(u, beta)
+        assert np.max(np.abs(integral / series - 1.0)) <= 1e-12
+
     @pytest.mark.parametrize("beta", [0.02, 0.5, 0.99])
     def test_log_a_table_strictly_increasing(self, beta):
         log_a, phi = subordinator._log_a_table(beta)
