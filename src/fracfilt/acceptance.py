@@ -474,26 +474,21 @@ def criterion_11():
     ])
     identical = True
     produced = 0
-    env_override = os.environ.pop("FRACFILT_OUT", None)  # must not merge outputs
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            for text, tag in [(cfg_text, "density"), (cfg_oracle, "oracle")]:
-                outs = []
-                for rep in ("a", "b"):
-                    cfg = parse_config(text)
-                    cfg.out_dir = os.path.join(tmp, f"{tag}_{rep}")
-                    status, files = run_experiment(cfg)
-                    outs.append(sorted(f for f in files if f.endswith(".csv")))
-                if [os.path.basename(f) for f in outs[0]] != [os.path.basename(f) for f in outs[1]]:
+    with tempfile.TemporaryDirectory() as tmp:
+        for text, tag in [(cfg_text, "density"), (cfg_oracle, "oracle")]:
+            outs = []
+            for rep in ("a", "b"):
+                cfg = parse_config(text)
+                cfg.out_dir = os.path.join(tmp, f"{tag}_{rep}")
+                status, files = run_experiment(cfg)
+                outs.append(sorted(f for f in files if f.endswith(".csv")))
+            if [os.path.basename(f) for f in outs[0]] != [os.path.basename(f) for f in outs[1]]:
+                identical = False
+                continue
+            for fa, fb in zip(*outs):
+                produced += 1
+                if not filecmp.cmp(fa, fb, shallow=False):
                     identical = False
-                    continue
-                for fa, fb in zip(*outs):
-                    produced += 1
-                    if not filecmp.cmp(fa, fb, shallow=False):
-                        identical = False
-    finally:
-        if env_override is not None:
-            os.environ["FRACFILT_OUT"] = env_override
     return identical and produced > 0, {"csv_files_compared": produced}
 
 

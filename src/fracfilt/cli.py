@@ -3,8 +3,8 @@
 Every run writes CSV artifacts plus a `run_summary.txt` of key = value pairs
 including tolerances and pass flags; the process exits 0 only when every
 enabled check passed.  Exit codes: 0 pass, 1 check failure, 2 usage or config
-error, 3 numerical failure.  The FRACFILT_OUT environment variable overrides
-the output directory.
+error, 3 numerical failure.  The output directory is the config's `out` key,
+or `--out`; `--seed` gets the same parse and range check as the config's `seed`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import acceptance, levy_ext
-from .config import _RANGES, ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, parse_config, parse_value
 from .csvio import write_csv, write_summary
 from .models import ModelSpec, SpatialGrid, named_model
 from .sde_sim import simulate_classical_pair, simulate_time_changed_state_direct, time_change_pair
@@ -86,10 +86,7 @@ def _run_simulate(cfg, out):
     D, T = _clock(cfg)
     Y, Z = simulate_classical_pair(model, D.times[-1], cfg.step, cfg.seed + 1)
     X, V = time_change_pair(Y, Z, T)
-    tgrid = T.times
-    yi = np.interp(tgrid, Y.times, Y.values)
-    zi = np.interp(tgrid, Z.times, Z.matrix()[:, 0])
-    rows = zip(tgrid, yi, zi, T.values, X.values, np.atleast_2d(V.matrix())[:, 0])
+    rows = zip(T.times, Y.at(T.times), Z.at(T.times), T.values, X.values, V.values)
     files = [write_csv(os.path.join(out, "paths.csv"), ["t", "Y", "Z", "T", "X", "V"], rows)]
     summary = {"run": "simulate", "beta": cfg.beta, "pass": True}
     return True, summary, files
@@ -248,7 +245,7 @@ _RUNNERS = {
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[int, list[str]]:
     """Execute one run kind; returns (exit status, emitted file paths)."""
-    out = os.environ.get("FRACFILT_OUT", cfg.out_dir)
+    out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     try:
         passed, summary, files = _RUNNERS[cfg.run](cfg, out)
@@ -276,7 +273,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command")
     runp = sub.add_parser("run", help="execute a config file")
     runp.add_argument("config_path")
-    runp.add_argument("--seed", type=int, default=None, help="override the config seed")
+    runp.add_argument("--seed", default=None, help="override the config seed")
     runp.add_argument("--out", default=None, help="override the output directory")
     checkp = sub.add_parser("check", help="run the built-in acceptance suite")
     checkp.add_argument("--only", type=_criterion_numbers, default=None,
@@ -295,11 +292,11 @@ def main(argv=None) -> int:
                 print(f"config error: {p}", file=sys.stderr)
             return 2
         if args.seed is not None:
-            ok, msg = _RANGES["seed"]
-            if not ok(args.seed):
-                print(f"config error: {msg} (--seed {args.seed})", file=sys.stderr)
+            try:
+                cfg.seed = parse_value("seed", args.seed)
+            except ValueError as exc:
+                print(f"config error: {exc} (--seed {args.seed})", file=sys.stderr)
                 return 2
-            cfg.seed = args.seed
         if args.out is not None:
             cfg.out_dir = args.out
         status, files = run_experiment(cfg)

@@ -2,6 +2,8 @@
 
 Config files are line-oriented: one `key = value` pair per line, `#` starts a
 comment, dotted keys group related settings (model.drift, grid.lower, ...).
+Each key is declared once, on its ExperimentConfig field, together with its
+default, the kind of value it takes and the check that value must pass.
 Coefficient expressions admit the variable x, numeric literals, the constants
 pi and e, operators + - * /, unary minus, and the functions tanh, exp, sin.
 """
@@ -9,14 +11,15 @@ pi and e, operators + - * /, unary minus, and the functions tanh, exp, sin.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
 
 from .models import NAMED_MODELS
 
-__all__ = ["ExperimentConfig", "ConfigError", "parse_config", "compile_expression"]
+__all__ = ["ExperimentConfig", "ConfigError", "parse_config", "parse_value", "compile_expression"]
 
 RUN_KINDS = (
     "density",
@@ -91,27 +94,54 @@ def compile_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
     return func
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+# how each kind of value is read from its text; the kind names the value in errors
+_PARSERS = {
+    "finite float": _finite,
+    "int": int,
+    "text": lambda text: text.strip("\"'"),
+    "finite floats": lambda text: tuple(_finite(v) for v in text.replace(",", " ").split()),
+}
+
+
+def _key(key: str, default, kind: str, ok=None, problem: str = ""):
+    """A config field: its key, default and kind of value, and the test a value must
+    pass; ok returns false, or raises ValueError, for a bad value."""
+    return field(default=default, metadata={"key": key, "kind": kind, "ok": ok, "problem": problem})
+
+
 @dataclass
 class ExperimentConfig:
     """Validated run description; every field has a documented default."""
 
-    run: str = "oracle"
-    model: str = "ou-linear"
-    beta: float = 0.5
-    seed: int = 12345
-    horizon: float = 1.0
-    step: float = 1e-3
-    particles: int = 10_000
-    out_dir: str = "out"
+    run: str = _key("run", "oracle", "text", lambda v: v in RUN_KINDS,
+                    f"unknown run kind; choose from {RUN_KINDS}")
+    model: str = _key("model", "ou-linear", "text", lambda v: v in NAMED_MODELS,
+                      f"unknown model; choose from {sorted(NAMED_MODELS)}")
+    beta: float = _key("beta", 0.5, "finite float", lambda v: 0.0 < v < 1.0,
+                       "beta must lie in (0, 1) exclusive")
+    seed: int = _key("seed", 12345, "int", lambda v: 0 <= v < 2 ** 63, "seed must be a 64-bit value")
+    horizon: float = _key("horizon", 1.0, "finite float", lambda v: v > 0.0, "horizon must be positive")
+    step: float = _key("step", 1e-3, "finite float", lambda v: v > 0.0, "step must be positive")
+    particles: int = _key("particles", 10_000, "int", lambda v: v >= 100, "particles must be >= 100")
+    out_dir: str = _key("out", "out", "text")
     # default domain: initial-density location +- 8 scales (built-ins start
     # from a unit-scale density centered at 0)
-    grid_lower: float = -8.0
-    grid_upper: float = 8.0
-    grid_cells: int = 64
-    drift_expr: Optional[str] = None
-    sigma_expr: Optional[str] = None
-    obs_expr: Optional[str] = None
-    checkpoints: tuple = (0.25, 0.5, 1.0)
+    grid_lower: float = _key("grid.lower", -8.0, "finite float")
+    grid_upper: float = _key("grid.upper", 8.0, "finite float")
+    grid_cells: int = _key("grid.cells", 64, "int", lambda v: v >= 8, "grid.cells must be >= 8")
+    # expressions: compile_expression raises ValueError naming what it refuses
+    drift_expr: Optional[str] = _key("model.drift", None, "text", compile_expression)
+    sigma_expr: Optional[str] = _key("model.sigma", None, "text", compile_expression)
+    obs_expr: Optional[str] = _key("model.observation", None, "text", compile_expression)
+    checkpoints: tuple = _key("checkpoints", (0.25, 0.5, 1.0), "finite floats", lambda v: len(v) > 0,
+                              "checkpoints must list at least one time")
 
     def coefficient_overrides(self):
         """Compiled (drift, sigma, observation) overrides, None where not given."""
@@ -119,33 +149,21 @@ class ExperimentConfig:
         return c(self.drift_expr), c(self.sigma_expr), c(self.obs_expr)
 
 
-_KEY_MAP = {
-    "run": ("run", str),
-    "model": ("model", str),
-    "beta": ("beta", float),
-    "seed": ("seed", int),
-    "horizon": ("horizon", float),
-    "step": ("step", float),
-    "particles": ("particles", int),
-    "out": ("out_dir", str),
-    "grid.lower": ("grid_lower", float),
-    "grid.upper": ("grid_upper", float),
-    "grid.cells": ("grid_cells", int),
-    "model.drift": ("drift_expr", str),
-    "model.sigma": ("sigma_expr", str),
-    "model.observation": ("obs_expr", str),
-    "checkpoints": ("checkpoints", "floats"),
-}
+# config key -> ExperimentConfig field
+_FIELDS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 
-_RANGES = {
-    "beta": (lambda v: 0.0 < v < 1.0, "beta must lie in (0, 1) exclusive"),
-    "horizon": (lambda v: v > 0.0, "horizon must be positive"),
-    "step": (lambda v: v > 0.0, "step must be positive"),
-    "particles": (lambda v: v >= 100, "particles must be >= 100"),
-    "grid_cells": (lambda v: v >= 8, "grid.cells must be >= 8"),
-    "seed": (lambda v: 0 <= v < 2 ** 63, "seed must be a 64-bit value"),
-    "checkpoints": (lambda v: len(v) > 0, "checkpoints must list at least one time"),
-}
+
+def parse_value(key: str, text: str):
+    """The value of config key `key` read from `text` and checked; raises
+    ValueError naming the problem."""
+    meta = _FIELDS[key].metadata
+    try:
+        value = _PARSERS[meta["kind"]](text)
+    except ValueError:
+        raise ValueError(f"cannot parse {text!r} as {meta['kind']}") from None
+    if meta["ok"] is not None and not meta["ok"](value):
+        raise ValueError(f"{meta['problem']} (got {value!r})")
+    return value
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -163,49 +181,23 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key in seen:
             problems.append(f"line {lineno}: duplicate key {key!r} (first set on line {seen[key]})")
             continue
         seen[key] = lineno
-        if key not in _KEY_MAP:
+        if key not in _FIELDS:
             problems.append(f"line {lineno}: unknown key {key!r}")
             continue
-        attr, conv = _KEY_MAP[key]
         try:
-            if conv == "floats":
-                parsed = tuple(float(v) for v in value.replace(",", " ").split())
-            elif conv is str:
-                parsed = value.strip("\"'")
-            else:
-                parsed = conv(value)
-        except ValueError:
-            problems.append(f"line {lineno}: cannot parse {value!r} as {getattr(conv, '__name__', conv)}")
-            continue
-        if attr in _RANGES:
-            ok, msg = _RANGES[attr]
-            if not ok(parsed):
-                problems.append(f"line {lineno}: {msg} (got {parsed})")
-                continue
-        if attr == "run" and parsed not in RUN_KINDS:
-            problems.append(f"line {lineno}: unknown run kind {parsed!r}; choose from {RUN_KINDS}")
-            continue
-        if attr == "model" and parsed not in NAMED_MODELS:
-            problems.append(f"line {lineno}: unknown model {parsed!r}; choose from {sorted(NAMED_MODELS)}")
-            continue
-        if attr in ("drift_expr", "sigma_expr", "obs_expr"):
-            try:
-                compile_expression(parsed)
-            except ValueError as exc:
-                problems.append(f"line {lineno}: {exc}")
-                continue
-        setattr(cfg, attr, parsed)
+            setattr(cfg, _FIELDS[key].name, parse_value(key, value.strip()))
+        except ValueError as exc:
+            problems.append(f"line {lineno}: {exc}")
     if cfg.grid_lower >= cfg.grid_upper:
         problems.append("grid.lower must be below grid.upper")
     steps = cfg.horizon / cfg.step
     if cfg.horizon < cfg.step:
         problems.append(f"horizon {cfg.horizon} must be at least one step ({cfg.step})")
-    elif abs(steps - round(steps)) > 1e-9 * steps:
+    elif not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
         problems.append(f"horizon {cfg.horizon} must be a whole number of steps ({cfg.step})")
     if cfg.run == "oracle" and not all(0.0 < t <= cfg.horizon for t in cfg.checkpoints):
         problems.append(f"oracle checkpoints must lie in (0, horizon {cfg.horizon}]")

@@ -82,7 +82,7 @@ def simulate_jump_observation(
     dT = np.diff(T.values)
     M = len(dT)
     rng = _rng(seed, stream=2)
-    xs = np.interp(times, X.times, X.values)
+    xs = X.at(times)
     h = model.h_matrix(xs[:-1])
     if h.shape[1] != 1:
         raise ValueError("jump observations are scalar-continuous-part only")

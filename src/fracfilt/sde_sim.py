@@ -88,10 +88,11 @@ class ObservationRecord:
     def increments(self) -> np.ndarray:
         return np.diff(self.values, axis=0)
 
-    def matrix(self) -> np.ndarray:
-        """Values as (M+1, m)."""
-        v = self.values
-        return v[:, None] if v.ndim == 1 else v
+    def at(self, t):
+        """Linear interpolation of the path at times t, one column per channel."""
+        if self.values.ndim == 1:
+            return np.interp(t, self.times, self.values)
+        return np.column_stack([np.interp(t, self.times, z) for z in self.values.T])
 
 
 @dataclass(frozen=True)
@@ -223,14 +224,9 @@ def time_change_pair(
             f"time change reaches operational time {tau_max:.6g} beyond the simulated "
             f"horizon {Y.times[-1]:.6g}; resimulate the pair with a longer horizon"
         )
-    xv = np.interp(T.values, Y.times, Y.values)
-    zmat = Z.matrix()
-    vv = np.column_stack([np.interp(T.values, Z.times, zmat[:, j]) for j in range(zmat.shape[1])])
-    if Z.values.ndim == 1:
-        vv = vv[:, 0]
     return (
-        StatePath(times=T.times, values=xv),
-        ObservationRecord(times=T.times, values=vv),
+        StatePath(times=T.times, values=Y.at(T.values)),
+        ObservationRecord(times=T.times, values=Z.at(T.values)),
     )
 
 
@@ -264,7 +260,7 @@ def likelihood_path(model: ModelSpec, X: StatePath, obs: ObservationRecord,
     times = obs.times
     M = len(times) - 1
     dT = np.diff(T.values) if T is not None else np.full(M, obs.step)
-    xs = np.interp(times, X.times, X.values)
+    xs = X.at(times)
     h = model.h_matrix(xs[:-1])
     inc = np.sum(h * obs.increments.reshape(M, -1), axis=1) - 0.5 * np.sum(h * h, axis=1) * dT
     jumps = model.jumps

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma, gammaln, roots_legendre
 
 __all__ = [
@@ -506,6 +505,8 @@ def laplace_identity_residual(beta: float, tau: float, s_grid) -> float:
     Computes the transform by adaptive quadrature over t and returns the max
     absolute deviation from the closed form over s_grid.
     """
+    from scipy.integrate import quad  # scipy.integrate would slow every fracfilt import
+
     beta = _check_beta(beta)
     if tau < 0.0:
         raise ValueError("tau must be nonnegative")

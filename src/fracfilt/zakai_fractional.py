@@ -138,14 +138,6 @@ def stable_step(beta: float, A: sp.spmatrix) -> float:
     return (z / mu) ** (1.0 / beta)
 
 
-def _time_changed_increments(obs: ObservationRecord, tau: np.ndarray) -> np.ndarray:
-    """Increments of Z interpolated at the operational times tau, as (len(tau) - 1, m)."""
-    zmat = obs.matrix()
-    return np.diff(
-        np.column_stack([np.interp(tau, obs.times, z) for z in zmat.T]), axis=0
-    )
-
-
 def solve_fractional_zakai(
     model: ModelSpec,
     grid: SpatialGrid,
@@ -230,7 +222,7 @@ def _solve_clock(model, grid, T, obs):
     j = np.arange(first[-1]) - first[owner]
     edges = np.append(T.values[owner] + j * (dtau / np.maximum(n_sub, 1))[owner], T.values[-1])
     delta = np.diff(edges)
-    dV = _time_changed_increments(obs, edges)
+    dV = np.diff(obs.at(edges), axis=0).reshape(delta.size, -1)
 
     def block(c):
         """Observation factors and the diagonals of I - d/2 A for chunks
@@ -297,7 +289,7 @@ def _solve_kernel(model, grid, T, obs):
     x = grid.nodes
     n = grid.n_nodes
     h = model.h_matrix(x)
-    dV = _time_changed_increments(obs, T.values)
+    dV = np.diff(obs.at(T.values), axis=0).reshape(M, -1)
 
     P, Q = trapezoid_weights(beta, max(M, 1), dt)
     # lag weights c[0..M - 2], and reversed: c[k - j] for j = J..k is c_rev[M - 2 - k + J:]

@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from fracfilt import cli, config
 from fracfilt.cli import main, run_experiment
-from fracfilt.config import ConfigError, compile_expression, parse_config
+from fracfilt.config import ConfigError, ExperimentConfig, compile_expression, parse_config
 
 
 class TestExpressionGrammar:
@@ -137,6 +138,32 @@ class TestParseConfig:
         assert np.allclose(drift(np.array([0.3])), np.tanh(0.3))
         assert sigma(np.array([2.0]))[0] == 1.0
 
+    # a value other than the default for every field, each valid on its own
+    SAMPLES = {
+        "run": "zakai", "model": "benes-like", "beta": 0.25, "seed": 2 ** 63 - 1,
+        "horizon": 2.0, "step": 2e-3, "particles": 500, "out_dir": "elsewhere",
+        "grid_lower": -5.5, "grid_upper": 6.0, "grid_cells": 40,
+        "drift_expr": "tanh(x)", "sigma_expr": "1 + 0*x", "obs_expr": "2*x",
+        "checkpoints": (0.125, 0.75),
+    }
+
+    def test_every_field_has_one_key(self):
+        keys = [f.metadata.get("key") for f in fields(ExperimentConfig)]
+        assert None not in keys
+        assert len(set(keys)) == len(keys)
+        assert set(self.SAMPLES) == {f.name for f in fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize("name", sorted(SAMPLES))
+    def test_every_key_round_trips(self, name):
+        value = self.SAMPLES[name]
+        key = next(f.metadata["key"] for f in fields(ExperimentConfig) if f.name == name)
+        text = " ".join(map(repr, value)) if isinstance(value, tuple) else str(value)
+        cfg = parse_config(f"{key} = {text}\n")
+        assert getattr(cfg, name) == value
+        default = ExperimentConfig()
+        assert all(getattr(cfg, f.name) == getattr(default, f.name)
+                   for f in fields(ExperimentConfig) if f.name != name)
+
 
 class TestRunner:
     def test_density_run_emits_table_and_pass_flag(self, tmp_path):
@@ -213,14 +240,15 @@ class TestRunner:
             if f.endswith(".csv"):
                 assert "clamped" not in open(f).readline()
 
-    def test_env_var_overrides_out_dir(self, tmp_path, monkeypatch):
-        target = tmp_path / "env_out"
-        monkeypatch.setenv("FRACFILT_OUT", str(target))
+    def test_env_var_does_not_move_out_dir(self, tmp_path, monkeypatch):
+        # the output directory comes from the out key or --out, never the environment
+        monkeypatch.setenv("FRACFILT_OUT", str(tmp_path / "env_out"))
         cfg = parse_config("run = density\nbeta = 0.5\n")
-        cfg.out_dir = str(tmp_path / "ignored")
+        cfg.out_dir = str(tmp_path / "cfg_out")
         status, files = run_experiment(cfg)
         assert status == 0
-        assert all(str(target) in f for f in files)
+        assert files and all(f.startswith(str(tmp_path / "cfg_out")) for f in files)
+        assert not (tmp_path / "env_out").exists()
 
     def test_numerical_failure_exits_three(self, tmp_path):
         # domain too small for the initial density: the solver rejects the grid
@@ -289,6 +317,25 @@ class TestCLIEntry:
         p.write_text("run = density\nbeta = 0.5\nseed = 1\n")
         assert main(["run", str(p), "--seed", seed, "--out", str(tmp_path / "o")]) == 2
         assert "config error: seed must be a 64-bit value" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", ["abc", "2**64", "1.5"])
+    def test_seed_override_not_an_integer_is_usage_error(self, tmp_path, capsys, seed):
+        # --seed text gets the seed key's own parse, so a non-integer is a config error
+        p = tmp_path / "ok.cfg"
+        p.write_text("run = density\nbeta = 0.5\nseed = 1\n")
+        assert main(["run", str(p), "--seed", seed, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: cannot parse" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line", ["horizon = inf", "step = 1e-320", "grid.lower = nan",
+                                      "grid.upper = inf", "checkpoints = 0.1 inf"])
+    def test_non_finite_config_is_usage_error(self, tmp_path, capsys, line):
+        # none of these can run: horizon / step overflows, or a bound or time is not a number
+        p = tmp_path / "inf.cfg"
+        p.write_text(f"run = frac-zakai\n{line}\n")
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_unknown_model_is_usage_error(self, tmp_path, capsys):

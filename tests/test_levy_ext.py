@@ -156,8 +156,7 @@ class TestJumpStateSolver:
         rng = np.random.Generator(np.random.Philox(key=65))
         n = 20_000
         dT = np.diff(T.values)
-        zmat = Z.matrix()[:, 0]
-        V = np.interp(T.values, Z.times, zmat)
+        V = np.interp(T.values, Z.times, Z.values)
         dV = np.diff(V)
         x = rng.normal(0.0, 1.0, n)
         logw = np.zeros(n)
