@@ -249,7 +249,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, list[str]]:
     os.makedirs(out, exist_ok=True)
     try:
         passed, summary, files = _RUNNERS[cfg.run](cfg, out)
-    except (ValueError, RuntimeError, FloatingPointError) as exc:
+    except (ValueError, RuntimeError, FloatingPointError, MemoryError) as exc:
         write_summary(os.path.join(out, "run_summary.txt"),
                       {"run": cfg.run, "error": str(exc), "pass": False})
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -199,6 +199,9 @@ def parse_config(text: str) -> ExperimentConfig:
         problems.append(f"horizon {cfg.horizon} must be at least one step ({cfg.step})")
     elif not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
         problems.append(f"horizon {cfg.horizon} must be a whole number of steps ({cfg.step})")
+    elif steps >= np.iinfo(np.intp).max:
+        problems.append(f"horizon {cfg.horizon} / step {cfg.step} gives {steps:.3g} steps, more "
+                        f"nodes than an array can index ({np.iinfo(np.intp).max})")
     if cfg.run == "oracle" and not all(0.0 < t <= cfg.horizon for t in cfg.checkpoints):
         problems.append(f"oracle checkpoints must lie in (0, horizon {cfg.horizon}]")
     if problems:

@@ -14,8 +14,10 @@ _weighted_particles the one particle loop behind the Kallianpur-Striebel
 estimate and levy_ext's jump-observation filter.
 
 All stochastic integrals are left-point (Ito) sums.  Randomness is counter-based
-(Philox keyed by the seed); ensemble draws are partitioned by row, so particle i
-always owns row i of each noise array and runs are reproducible bit-for-bit.
+(Philox keyed by the seed), and runs are reproducible bit-for-bit.  The
+Euler-Maruyama loop draws one (n_paths, M) block, so path i owns row i of each
+noise array.  The particle loop reads one sequential stream: the n_particles
+initial-state uniforms, then step k's n_particles normals for k = 0, 1, ...
 """
 
 from __future__ import annotations
@@ -317,6 +319,11 @@ def _weighted_particles(model: ModelSpec, times, dZ, dT, f, n_particles: int, se
     realized-quadratic-variation fluctuation sum_k c_k ((dZ_k)^2 - dT_k),
     which is common to every particle.
 
+    The noise is drawn inside the step loop from the one Philox stream, after
+    the initial states: step k takes the next n_particles normals.  Memory is
+    O(n_particles), and a run on the first k steps of a record gives the first
+    k + 1 outputs of the full run bit for bit.
+
     Returns the per-node posterior mean of f, its delta-method standard error,
     the ESS and the log mean raw weight, plus one residual dict per triple.
     """
@@ -351,10 +358,9 @@ def _weighted_particles(model: ModelSpec, times, dZ, dT, f, n_particles: int, se
         log_mean_w[k] = top + np.log(wsum / n_particles)
 
     record(0, y, logw)
-    dB = rng.standard_normal((n_particles, M))
     for k in range(M):
         h = model.h_matrix(y)
-        hdz, hh = h @ dZ[k], np.sum(h * h, axis=1)
+        hdz, hh = np.dot(h, dZ[k]), np.sum(h * h, axis=1)
         b, s = model.drift(y), model.sigma(y)
         L = np.exp(logw) if test_functions else None
         gL = []
@@ -384,7 +390,7 @@ def _weighted_particles(model: ModelSpec, times, dZ, dT, f, n_particles: int, se
                                      f"({se}, {w}); log undefined")
                 for r, gl in zip(rhs, gL):
                     r += (lam - 1.0) * gl
-        y = y + b * dT[k] + s * np.sqrt(dT[k]) * dB[:, k]
+        y = y + b * dT[k] + s * np.sqrt(dT[k]) * rng.standard_normal(n_particles)
         record(k + 1, y, logw)
 
     residuals = []

@@ -317,7 +317,7 @@ def _solve_kernel(model, grid, T, obs):
             u += Q[k] * hist[0] + P[0] * hist[k]
             u /= gamma_beta
             u += p0
-            obs_acc += (h @ dV[k]) * Phi[k]
+            obs_acc += np.dot(h, dV[k]) * Phi[k]
             u += obs_acc
             neg = u < 0.0
             if neg.any():

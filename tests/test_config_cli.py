@@ -260,6 +260,16 @@ class TestRunner:
         summary = (tmp_path / "out" / "run_summary.txt").read_text()
         assert "error" in summary and "pass = false" in summary
 
+    def test_grid_too_large_to_allocate_exits_three(self, tmp_path, capsys):
+        # 1e15 steps can be indexed but not allocated: a MemoryError is a run failure
+        cfg = parse_config("run = frac-zakai\nhorizon = 1e12\nstep = 1e-3\n")
+        cfg.out_dir = str(tmp_path / "out")
+        status, files = run_experiment(cfg)
+        assert status == 3 and files == []
+        summary = (tmp_path / "out" / "run_summary.txt").read_text()
+        assert "error = Unable to allocate" in summary and "pass = false" in summary
+        assert "numerical failure: Unable to allocate" in capsys.readouterr().err
+
     def test_same_seed_byte_identical(self, tmp_path):
         outs = []
         for tag in ("a", "b"):
@@ -336,6 +346,14 @@ class TestCLIEntry:
         p.write_text(f"run = frac-zakai\n{line}\n")
         assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_node_count_past_array_index_is_usage_error(self, tmp_path, capsys):
+        # 1e303 steps: no array can hold the grid, so nothing is written
+        p = tmp_path / "huge.cfg"
+        p.write_text("run = frac-zakai\nhorizon = 1e300\nstep = 1e-3\n")
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "more nodes than an array can index" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_unknown_model_is_usage_error(self, tmp_path, capsys):

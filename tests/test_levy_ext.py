@@ -13,7 +13,7 @@ from fracfilt.sde_sim import (
     simulate_classical_pair,
     simulate_time_changed_state_direct,
 )
-from fracfilt.subordinator import sample_inverse_path, unit_slope_inverse
+from fracfilt.subordinator import InversePath, sample_inverse_path, unit_slope_inverse
 from fracfilt.zakai_fractional import solve_fractional_zakai, stable_step
 
 
@@ -328,9 +328,24 @@ class TestJumpObservationFilter:
         assert np.all(np.isfinite(res.posterior))
         assert res.posterior[after] > 0.0
 
+    def test_prefix_run_reproduces_the_full_run(self):
+        # the first 200 steps of the clock and the record, events up to the
+        # last kept node included, give the first 201 outputs of the full run
+        m, T, X, obs = self.setup_single_run(seed=83)
+        t_end = T.times[200]
+        assert 0 < sum(s <= t_end for s, _ in obs.events) < len(obs.events)
+        head_T = InversePath(times=T.times[:201], values=T.values[:201])
+        head = ObservationRecord(times=obs.times[:201], values=obs.values[:201],
+                                 events=tuple(e for e in obs.events if e[0] <= t_end))
+        full = levy_ext.fractional_filter_jump_obs(m, T, obs, lambda x: x, 500, seed=84)
+        part = levy_ext.fractional_filter_jump_obs(m, head_T, head, lambda x: x, 500, seed=84)
+        assert np.array_equal(part.posterior, full.posterior[:201])
+        assert np.array_equal(part.unnormalized, full.unnormalized[:201])
+        assert np.array_equal(part.ess, full.ess[:201])
+
     def test_memory_peak_stays_below_twice_the_noise_array(self):
-        # the (particles, steps) noise array is the only allocation that grows
-        # with both sizes; state, weights and residual sums are per particle
+        # state, weights, residual sums and each step's draws are per particle;
+        # the bound is twice what one (particles, steps) array would take
         m = named_model("jump-poisson", 0.5)
         T = unit_slope_inverse(1.0, 1e-3)
         X = simulate_time_changed_state_direct(m, T, seed=80)

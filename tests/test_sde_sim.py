@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -314,6 +315,32 @@ class TestKallianpurStriebel:
         marked = ObservationRecord(times=times, values=np.zeros(101), events=((0.5, 1.0),))
         with pytest.raises(ValueError, match="continuous-only"):
             kallianpur_striebel_estimate(m, marked, lambda x: x, 100, seed=39)
+
+    def test_prefix_run_reproduces_the_full_run(self):
+        # one sequential noise stream, drawn step by step: the estimate is online,
+        # so a run on the first 200 steps gives the first 201 outputs of the full run
+        m = named_model("ou-linear", 0.5)
+        _, Z = simulate_classical_pair(m, 1.0, 2.5e-3, seed=40)
+        head = ObservationRecord(times=Z.times[:201], values=Z.values[:201])
+        full = kallianpur_striebel_estimate(m, Z, lambda x: x, 500, seed=41)
+        part = kallianpur_striebel_estimate(m, head, lambda x: x, 500, seed=41)
+        assert np.array_equal(part.values, full.values[:201])
+        assert np.array_equal(part.posterior_sd, full.posterior_sd[:201])
+        assert np.array_equal(part.ess, full.ess[:201])
+
+    def test_memory_does_not_grow_with_particles_times_steps(self):
+        # 10k particles over 2000 steps: an (n, M) noise array would be 160 MB,
+        # the per-step state, weights and draws are 80 KB each
+        m = named_model("ou-linear", 0.5)
+        _, Z = simulate_classical_pair(m, 5.0, 2.5e-3, seed=42)
+        assert len(Z.times) == 2001
+        tracemalloc.start()
+        try:
+            kallianpur_striebel_estimate(m, Z, lambda x: x, 10_000, seed=43)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_particle_floor(self):
         m = named_model("ou-linear", 0.5)
