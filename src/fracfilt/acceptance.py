@@ -290,7 +290,7 @@ def criterion_7():
         solves.append(solve_fractional_zakai(model, grid, T, zeros))
     ens = subordinate_filter(beta, t_eval, solves)
     dist_ens = l1_distance(grid, quadr, ens)
-    dist_kernel = l1_distance(grid, quadr, kernel)
+    dist_kernel = l1_distance(grid, quadr, kernel.at_time(t_eval))
     tol = 1e-2
     return (dist_ens < tol and dist_kernel < tol,
             {"l1_ensemble": dist_ens, "l1_kernel": dist_kernel, "tolerance": tol})
@@ -386,7 +386,7 @@ def criterion_10():
 
     jm = named_model("jump-poisson", beta)
     nu_tot = jm.jumps.intensity
-    xs = rng.normal(0.0, 1.0, (n, m + 1)) * 0.0
+    xs = np.empty((n, m + 1))
     xs[:, 0] = rng.normal(0.0, 1.0, n)
     for k in range(m):
         xs[:, k + 1] = xs[:, k] - xs[:, k] * dt_m + np.sqrt(2.0 * dt_m) * rng.standard_normal(n)

@@ -153,7 +153,8 @@ def _run_oracle(cfg, out):
 
 def _run_subordinate(cfg, out):
     grid = _grid(cfg)
-    _, _, quadr, frac = quadrature_and_kernel(_build_model(cfg), grid, cfg.horizon, cfg.step)
+    _, _, quadr, Phi = quadrature_and_kernel(_build_model(cfg), grid, cfg.horizon, cfg.step)
+    frac = Phi.at_time(cfg.horizon)
     dist = l1_distance(grid, quadr, frac)
     tol = 1e-2
     passed = dist < tol
@@ -163,6 +164,7 @@ def _run_subordinate(cfg, out):
     ]
     summary = {
         "run": "subordinate", "beta": cfg.beta, "t": cfg.horizon,
+        "kernel_step": float(Phi.times[1] - Phi.times[0]), "kernel_steps": len(Phi.times) - 1,
         "l1_distance": dist, "tolerance_l1": tol, "pass": passed,
     }
     return passed, summary, files

@@ -38,10 +38,6 @@ class GridFunction:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid values must be finite")
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.step * np.arange(len(self.values))
-
 
 def trapezoid_weights(beta: float, n_steps: int, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Kernel moment arrays (P, Q) of the product-trapezoidal rule, 1-indexed by lag.

@@ -6,13 +6,13 @@ Only finite atom lists are supported, so the small-jump compensated integral
 of the general Levy calculus vanishes identically and every estimator has a
 Monte-Carlo oracle.  State-jump models need no solver of their own:
 zakai_fractional.solve_fractional_zakai extends the adjoint by the discrete
-transpose of the jump generator.  A state-jump path is an sde_sim.StatePath
-with a jump log, stepped by sde_sim's one Euler-Maruyama loop with its
-jump-epoch sub-step switched on.  A jump observation is an
-sde_sim.ObservationRecord with events, and its single-path likelihood is
-sde_sim.likelihood_path.  The jump-observation filter is the
-Kallianpur-Striebel weighted-particle loop of sde_sim (_weighted_particles)
-with the marked-event likelihood term switched on.
+transpose of the jump generator, and zakai_classical.solve_zakai is that solver
+on the identity clock.  A state-jump path is an sde_sim.StatePath with a jump
+log, stepped by sde_sim's one Euler-Maruyama loop with its jump-epoch sub-step
+switched on.  A jump observation is an sde_sim.ObservationRecord with events,
+and its single-path likelihood is sde_sim.likelihood_path.  The jump-observation
+filter is the Kallianpur-Striebel weighted-particle loop of sde_sim
+(_weighted_particles) with the marked-event likelihood term switched on.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ def simulate_jump_observation(
 
     Continuous part dHc = h(X) dT + dW_T.  Marked events have compensator
     lam(t, X_t, w) dT_t nu(dw), realized per step as a Poisson draw with the
-    rate frozen at the left node (first-order in the step).
+    rate frozen at the left node (first-order in the step) and the events
+    placed uniformly in the step; a tie (about 1e-13 per pair) raises.
     """
     jumps = model.jumps
     if jumps is None or jumps.obs_rate is None:
@@ -103,13 +104,7 @@ def simulate_jump_observation(
                 for _ in range(n_ev):
                     events.append((float(times[k] + rng.uniform(0.0, times[k + 1] - times[k])), float(w)))
     events.sort()
-    # enforce strictly increasing times (ties have probability zero, guard anyway)
-    dedup = []
-    for t, w in events:
-        if dedup and t <= dedup[-1][0]:
-            t = np.nextafter(dedup[-1][0], np.inf)
-        dedup.append((t, w))
-    return ObservationRecord(times=times.copy(), values=vals, events=tuple(dedup))
+    return ObservationRecord(times=times.copy(), values=vals, events=tuple(events))
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,6 @@ __all__ = [
     "stable_density",
     "stable_cdf",
     "inverse_density_grid",
-    "inverse_mean",
-    "sample_inverse_marginal",
     "laplace_identity_residual",
     "tail_bound",
     "tau_cutoff",
@@ -252,17 +250,6 @@ def sample_inverse_path(beta: float, horizon: float, op_step: float, seed,
         op_horizon *= 2.0
     raise RuntimeError(f"subordinator path missed the horizon {horizon:.6g} "
                        f"in {_CLOCK_TRIES} tries")
-
-
-def sample_inverse_marginal(beta: float, t: float, size, rng: np.random.Generator) -> np.ndarray:
-    """Samples of T_t alone, using T_t =d (t / D_1)**beta (self-similarity)."""
-    d1 = sample_standard_stable(beta, size, rng)
-    return (t / d1) ** beta
-
-
-def inverse_mean(beta: float, t: float) -> float:
-    """E[T_t] = t**beta / Gamma(1 + beta)."""
-    return t ** beta / gamma(1.0 + beta)
 
 
 # ---------------------------------------------------------------------------

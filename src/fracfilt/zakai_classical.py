@@ -1,8 +1,8 @@
 """Grid solver for the classical (adjoint) Zakai equation, plus linear-Gaussian references.
 
 The classical filter is the fractional one on the identity clock T_t = t, so
-`solve_zakai` runs the one Crank-Nicolson stepper of `zakai_fractional` on that
-clock.  One step is Lie splitting: an implicit Crank-Nicolson sweep of
+`solve_zakai` is `zakai_fractional.solve_fractional_zakai` on that clock.
+One step is Lie splitting: an implicit Crank-Nicolson sweep of
 dU = A* U dt followed by the multiplicative observation update
 U <- U exp(sum_k h_k(x) dZ_k - 0.5 |h(x)|^2 dt).  The adjoint matrix has zero
 column sums, so with h = 0 the discrete mass sum(U) dx is conserved exactly.
@@ -15,8 +15,8 @@ import numpy as np
 from .models import ModelSpec, SpatialGrid
 from .sde_sim import ObservationRecord
 from .subordinator import InversePath
-from .zakai_fractional import FilterDensityGrid, _solve_clock
-# not called here; perfbench's tracer patches these names on this module
+from .zakai_fractional import FilterDensityGrid, solve_fractional_zakai
+# not called here; perfbench's tracer patches this name on this module
 from .models import adjoint_matrix
 
 __all__ = [
@@ -35,20 +35,13 @@ def solve_zakai(
 ) -> FilterDensityGrid:
     """March the adjoint Zakai equation along the supplied observation path.
 
-    obs must live on a uniform time grid starting at 0; its values are
-    consumed verbatim (the solver is a deterministic map from the observation
-    path).  Steps longer than the stepper's chunk limit of 0.02 are split into
-    equal Crank-Nicolson chunks.  Small CN undershoots are clamped to zero and
-    the removed mass is accumulated in the diagnostics.  Requires a jump-free
-    state model.
+    solve_fractional_zakai on the identity clock T_t = t: the same models (state
+    jumps included), checks and _MAX_STEPS limit.  obs must live on a uniform
+    time grid starting at 0; its values are consumed verbatim.  Steps longer than
+    the chunk limit of 0.02 are split into equal Crank-Nicolson chunks, and small
+    CN undershoots are clamped to zero, their mass kept in clamped_mass.
     """
-    if model.jumps is not None and model.jumps.state_jump_map is not None:
-        raise ValueError("solve_zakai handles diffusion state models only")
-    model.validate_on_grid(grid)
-    if not np.allclose(np.diff(obs.times), obs.step):
-        raise ValueError("observation must live on a uniform time grid")
-    identity = InversePath(times=obs.times, values=obs.times)
-    return _solve_clock(model, grid, identity, obs)
+    return solve_fractional_zakai(model, grid, InversePath(times=obs.times, values=obs.times), obs)
 
 
 def normalize(U: FilterDensityGrid, t: float) -> tuple[np.ndarray, float]:

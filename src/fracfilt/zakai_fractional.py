@@ -158,7 +158,7 @@ def solve_fractional_zakai(
     times = T.times
     dt = T.step
     if not np.allclose(np.diff(times), dt):
-        raise ValueError("inverse path must live on a uniform real-time grid")
+        raise ValueError("the clock must live on a uniform real-time grid")
     if float(np.max(T.values)) > obs_operational.times[-1] + 1e-12:
         raise ValueError("operational observation does not cover max(T); simulate Z further")
     M = len(times) - 1
@@ -291,7 +291,7 @@ def _solve_kernel(model, grid, T, obs):
     h = model.h_matrix(x)
     dV = np.diff(obs.at(T.values), axis=0).reshape(M, -1)
 
-    P, Q = trapezoid_weights(beta, max(M, 1), dt)
+    P, Q = trapezoid_weights(beta, M, dt)
     # lag weights c[0..M - 2], and reversed: c[k - j] for j = J..k is c_rev[M - 2 - k + J:]
     c = Q[:-1] + P[1:]
     c_rev = c[::-1].copy()
@@ -372,7 +372,8 @@ def quadrature_and_kernel(model: ModelSpec, grid: SpatialGrid, t: float, step: f
     With h set to 0: the g_t-average (subordinate_filter) of the classical flow
     on a grid of the given step out to tau_cutoff(beta, t, 1e-9), and the
     kernel-mode solve on a unit-slope clock of step min(step, stable_step).
-    Returns the h = 0 model, its zero record and the two profiles at t.
+    Returns the h = 0 model, its zero record, the quadrature profile at t and
+    the kernel-mode FilterDensityGrid, whose times show the step it ran.
     """
     from .zakai_classical import solve_zakai    # zakai_classical imports this module
     beta = model.beta
@@ -383,8 +384,7 @@ def quadrature_and_kernel(model: ModelSpec, grid: SpatialGrid, t: float, step: f
     quadrature = subordinate_filter(beta, t, solve_zakai(free, grid, zeros))
     A = adjoint_matrix(free, grid)
     T = unit_slope_inverse(t, min(step, stable_step(beta, A)))
-    Phi = solve_fractional_zakai(free, grid, T, zeros, memory="kernel")
-    return free, zeros, quadrature, Phi.at_time(t)
+    return free, zeros, quadrature, solve_fractional_zakai(free, grid, T, zeros, memory="kernel")
 
 
 def l1_distance(grid: SpatialGrid, u: np.ndarray, v: np.ndarray) -> float:

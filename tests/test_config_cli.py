@@ -270,6 +270,45 @@ class TestRunner:
         assert "error = Unable to allocate" in summary and "pass = false" in summary
         assert "numerical failure: Unable to allocate" in capsys.readouterr().err
 
+    def test_subordinate_run_reports_its_kernel_step(self, tmp_path):
+        # the config asks for 1e-3; the explicit stability cap on 48 cells runs less
+        cfg = parse_config("run = subordinate\nbeta = 0.5\nhorizon = 0.5\nstep = 1e-3\n"
+                           "grid.lower = -6\ngrid.upper = 6\ngrid.cells = 48\n")
+        cfg.out_dir = str(tmp_path / "out")
+        status, _ = run_experiment(cfg)
+        assert status == 0
+        summary = dict(line.split(" = ", 1) for line in
+                       (tmp_path / "out" / "run_summary.txt").read_text().splitlines())
+        assert int(summary["kernel_steps"]) == 5631
+        assert float(summary["kernel_step"]) == 8.879437869822479e-05
+
+    def test_jump_filter_run_repeats_byte_for_byte(self, tmp_path):
+        outs = []
+        for tag in ("a", "b"):
+            cfg = parse_config("run = jump-filter\nbeta = 0.5\nseed = 4242\nhorizon = 0.25\n"
+                               "step = 2e-3\nparticles = 500\n")
+            cfg.out_dir = str(tmp_path / tag)
+            status, files = run_experiment(cfg)
+            assert status == 0
+            names = sorted(os.path.basename(f) for f in files)
+            assert names == ["jump_events.csv", "jump_posterior.csv", "run_summary.txt"]
+            outs.append({n: (tmp_path / tag / n).read_bytes() for n in names})
+        assert outs[0] == outs[1]
+        summary = outs[0]["run_summary.txt"].decode()
+        assert "equation_residual = " in summary and "residual_se = " in summary
+
+    def test_zakai_run_without_observation_conserves_mass(self, tmp_path):
+        # the model.observation override reaches the solver: h = 0 leaves the mass alone
+        cfg = parse_config("run = zakai\nbeta = 0.5\nseed = 11\nhorizon = 0.25\nstep = 1e-3\n"
+                           "grid.cells = 64\nmodel.observation = 0*x\n")
+        cfg.out_dir = str(tmp_path / "out")
+        status, _ = run_experiment(cfg)
+        assert status == 0
+        mass = np.loadtxt(tmp_path / "out" / "zakai_summary.csv", delimiter=",",
+                          skiprows=1, usecols=1)
+        assert len(mass) == 251
+        assert np.max(np.abs(mass - mass[0])) < 1e-12
+
     def test_same_seed_byte_identical(self, tmp_path):
         outs = []
         for tag in ("a", "b"):
@@ -356,6 +395,18 @@ class TestCLIEntry:
         assert "more nodes than an array can index" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_grid_bounds_out_of_order_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "grid.cfg"
+        p.write_text("run = zakai\ngrid.lower = 2\ngrid.upper = 2\n")
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "grid.lower must be below grid.upper" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_check_only_runs_the_named_criterion(self, capsys):
+        assert main(["check", "--only", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("criterion 01 PASS")
+
     def test_unknown_model_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("run = zakai\nmodel = bogus\n")
@@ -374,7 +425,10 @@ class TestCLIEntry:
         assert main([]) == 2
 
     def test_console_script_installed(self):
+        # pytest puts src/ on its own path only; hand it to the child as well
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         out = subprocess.run([sys.executable, "-m", "fracfilt.cli", "--help"],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, env=env)
         assert out.returncode == 0
         assert "run" in out.stdout and "check" in out.stdout

@@ -9,10 +9,8 @@ from fracfilt.subordinator import (
     InversePath,
     SubordinatorPath,
     inverse_density_grid,
-    inverse_mean,
     invert_path,
     laplace_identity_residual,
-    sample_inverse_marginal,
     sample_inverse_path,
     sample_stable_path,
     sample_standard_stable,
@@ -150,7 +148,6 @@ class TestInversion:
         target = 2.0 / np.sqrt(np.pi)
         se = tau.std(ddof=1) / np.sqrt(len(tau))
         assert abs(tau.mean() - target) < 3.0 * se
-        assert abs(inverse_mean(0.5, 1.0) - target) < 1e-12
 
     def test_invert_path_matches_vectorized_oracle(self):
         D = sample_stable_path(0.5, 6.0, 0.05, seed=5)
@@ -160,12 +157,6 @@ class TestInversion:
             lo, hi = D.values[k - 1], D.values[k]
             expected = D.times[k - 1] + D.step * (t - lo) / (hi - lo)
             assert abs(tval - expected) < 1e-12
-
-    def test_marginal_sampler_matches_path_mean(self):
-        rng = np.random.Generator(np.random.Philox(key=31))
-        t1 = sample_inverse_marginal(0.5, 1.0, 100_000, rng)
-        se = t1.std(ddof=1) / np.sqrt(len(t1))
-        assert abs(t1.mean() - 2.0 / np.sqrt(np.pi)) < 3.0 * se
 
 
 class TestCoveringClock:
@@ -362,6 +353,14 @@ class TestInverseDensity:
                 tau_cutoff(0.5, 1.0, tol)
         # a tolerance above the bound's tau = 0 value is met from tau = 0 on
         assert tau_cutoff(0.5, 1.0, 1e3) == 0.0
+
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 2.0, 50.0])
+    def test_tau_cutoff_inverts_tail_bound(self, beta, t):
+        # the cutoff is where the bound meets the tolerance, not merely past it
+        for tol in (1e-6, 1e-9, 1e-14):
+            assert float(tail_bound(beta, t, tau_cutoff(beta, t, tol))) == pytest.approx(
+                tol, rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

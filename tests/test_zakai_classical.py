@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from fracfilt.models import ModelSpec, SpatialGrid, gaussian_density, named_model
+from fracfilt import zakai_fractional
+from fracfilt.models import JumpSpec, ModelSpec, SpatialGrid, gaussian_density, named_model
 from fracfilt.sde_sim import ObservationRecord, simulate_classical_pair
+from fracfilt.subordinator import InversePath, unit_slope_inverse
 from fracfilt.zakai_classical import (
     grid_moments,
     kalman_bucy_reference,
     normalize,
     solve_zakai,
 )
+from fracfilt.zakai_fractional import solve_fractional_zakai
 
 
 def zero_obs(horizon, step):
@@ -52,16 +55,39 @@ class TestFokkerPlanckLimit:
         U = solve_zakai(model, grid, Z)
         assert np.min(U.values) >= 0.0
 
-    def test_jump_state_models_rejected(self):
-        from fracfilt.models import JumpSpec
+    def test_jump_state_model_is_the_identity_clock_solve(self):
         base = named_model("ou-linear", 0.5)
         m = ModelSpec(drift=base.drift, sigma=base.sigma, observation=base.observation,
                       beta=0.5, p0=base.p0,
                       jumps=JumpSpec(intensity=1.0, atoms=[(1.0, 1.0)],
                                      state_jump_map=lambda x, w: np.full_like(x, w)))
         grid = SpatialGrid(-8.0, 8.0, 64)
-        with pytest.raises(ValueError, match="diffusion"):
-            solve_zakai(m, grid, zero_obs(0.1, 1e-2))
+        obs = zero_obs(0.1, 1e-2)
+        U = solve_zakai(m, grid, obs)
+        Phi = solve_fractional_zakai(m, grid, unit_slope_inverse(0.1, 1e-2), obs)
+        assert np.array_equal(U.values, Phi.values)
+
+
+class TestFrontDoor:
+    """solve_zakai refuses what solve_fractional_zakai refuses."""
+
+    def test_non_uniform_record_refused_by_both_solvers(self):
+        t = np.array([0.0, 0.01, 0.03, 0.04])
+        obs = ObservationRecord(times=t, values=np.zeros(4))
+        model = named_model("ou-linear", 0.5)
+        grid = SpatialGrid(-8.0, 8.0, 64)
+        with pytest.raises(ValueError, match="uniform real-time grid"):
+            solve_zakai(model, grid, obs)
+        with pytest.raises(ValueError, match="uniform real-time grid"):
+            solve_fractional_zakai(model, grid, InversePath(times=t, values=t), obs)
+
+    def test_step_limit_covers_classical_solves(self, monkeypatch):
+        monkeypatch.setattr(zakai_fractional, "_MAX_STEPS", 100)
+        model = named_model("ou-linear", 0.5)
+        grid = SpatialGrid(-8.0, 8.0, 64)
+        solve_zakai(model, grid, zero_obs(1.0, 1e-2))
+        with pytest.raises(ValueError, match="101 steps"):
+            solve_zakai(model, grid, zero_obs(1.01, 1e-2))
 
 
 class TestNormalize:
