@@ -34,14 +34,13 @@ from .fraccalc import (
 from .models import JumpSpec, ModelSpec, SpatialGrid, gaussian_density, named_model
 from .sde_sim import (
     ObservationRecord,
-    StatePath,
     kallianpur_striebel_estimate,
-    likelihood_path,
     simulate_classical_pair,
     simulate_time_changed_state_direct,
 )
 from . import levy_ext
 from .subordinator import (
+    InversePath,
     inverse_density_grid,
     laplace_identity_residual,
     sample_inverse_path,
@@ -54,7 +53,6 @@ from .zakai_fractional import (
     pathwise_oracle_report,
     quadrature_and_kernel,
     solve_fractional_zakai,
-    subordinate_filter,
 )
 
 
@@ -284,11 +282,12 @@ def criterion_7():
     # marches the deterministic time-fractional equation directly
     model, zeros, quadr, kernel = quadrature_and_kernel(base, grid, t_eval, 2e-3)
 
-    solves = []
-    for i in range(1000):
+    n_solves = 1000
+    total = 0
+    for i in range(n_solves):
         _, T = sample_inverse_path(beta, t_eval, 1e-2, seed=1000 + i, n_nodes=101)
-        solves.append(solve_fractional_zakai(model, grid, T, zeros))
-    ens = subordinate_filter(beta, t_eval, solves)
+        total += solve_fractional_zakai(model, grid, T, zeros).at_time(t_eval)
+    ens = total / n_solves
     dist_ens = l1_distance(grid, quadr, ens)
     dist_kernel = l1_distance(grid, quadr, kernel.at_time(t_eval))
     tol = 1e-2
@@ -418,11 +417,12 @@ def criterion_10():
         jumps=JumpSpec(intensity=1.0, atoms=[(1.0, 1.0)],
                        obs_rate=lambda t, x, w: 2.0 * np.ones_like(np.asanyarray(x, float))),
     )
+    # with h = 0 and lam = 2 every particle carries the same weight, Lambda_1
     times = np.linspace(0.0, 1.0, 1001)
     obs = ObservationRecord(times=times, values=np.zeros(1001), events=((0.5, 1.0),))
-    Xconst = StatePath(times=times, values=np.zeros(1001))
-    L = likelihood_path(const_model, Xconst, obs)
-    errL = abs(L.values[-1] - 2.0 * np.exp(-1.0))
+    L1 = levy_ext.fractional_filter_jump_obs(const_model, InversePath(times, times), obs,
+                                             np.ones_like, n_particles=100, seed=0).unnormalized[-1]
+    errL = abs(L1 - 2.0 * np.exp(-1.0))
     details["single_event_error"] = float(errL)
     ok &= errL < 1e-3
 

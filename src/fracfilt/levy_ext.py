@@ -9,10 +9,10 @@ zakai_fractional.solve_fractional_zakai extends the adjoint by the discrete
 transpose of the jump generator, and zakai_classical.solve_zakai is that solver
 on the identity clock.  A state-jump path is an sde_sim.StatePath with a jump
 log, stepped by sde_sim's one Euler-Maruyama loop with its jump-epoch sub-step
-switched on.  A jump observation is an sde_sim.ObservationRecord with events,
-and its single-path likelihood is sde_sim.likelihood_path.  The jump-observation
-filter is the Kallianpur-Striebel weighted-particle loop of sde_sim
-(_weighted_particles) with the marked-event likelihood term switched on.
+switched on.  A jump observation is an sde_sim.ObservationRecord with events.
+The jump-observation filter is the Kallianpur-Striebel weighted-particle loop
+of sde_sim (_weighted_particles) with the marked-event likelihood terms switched
+on; that loop is the one implementation of the likelihood.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class JumpFilterResult:
     unnormalized: np.ndarray       # phi_t(f) estimates (reference-measure averages)
     ess: np.ndarray
     weight_collapse: bool
-    residuals: tuple               # per test function: dict(residual, se, terms)
+    residuals: tuple               # per test function: dict(residual, se)
 
 
 def fractional_filter_jump_obs(
@@ -142,7 +142,7 @@ def fractional_filter_jump_obs(
     and the per-particle residual mean and standard error are reported.  The
     loop is the Kallianpur-Striebel one (sde_sim._weighted_particles) with the
     marked-event channel switched on, so with intensity 0 the two filters agree
-    exactly.
+    exactly, and like it the filter rejects a model whose state jumps fire.
     """
     jumps = model.jumps
     if jumps is None or jumps.obs_rate is None:

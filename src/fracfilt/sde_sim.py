@@ -8,10 +8,11 @@ _euler_maruyama is the one loop of that state equation, for the classical
 ensemble, the direct time-changed simulator and levy_ext.simulate_jump_state.
 
 An ObservationRecord holds the continuous observation path and, for a model
-with an observation-jump channel, its marked events.  likelihood_path is the
-one single-path likelihood, marked-event terms included, and
-_weighted_particles the one particle loop behind the Kallianpur-Striebel
-estimate and levy_ext's jump-observation filter.
+with an observation-jump channel, its marked events.  _weighted_particles is
+the one particle loop behind the Kallianpur-Striebel estimate and levy_ext's
+jump-observation filter, and the one implementation of the likelihood Lambda,
+marked-event terms included: each particle carries log Lambda along its own
+path.
 
 All stochastic integrals are left-point (Ito) sums.  Randomness is counter-based
 (Philox keyed by the seed), and runs are reproducible bit-for-bit.  The
@@ -32,12 +33,10 @@ from .subordinator import InversePath, _rng
 __all__ = [
     "StatePath",
     "ObservationRecord",
-    "LikelihoodPath",
     "simulate_classical_pair",
     "simulate_classical_ensemble",
     "time_change_pair",
     "simulate_time_changed_state_direct",
-    "likelihood_path",
     "kallianpur_striebel_estimate",
     "KSEstimate",
 ]
@@ -97,18 +96,6 @@ class ObservationRecord:
         return np.column_stack([np.interp(t, self.times, z) for z in self.values.T])
 
 
-@dataclass(frozen=True)
-class LikelihoodPath:
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values[0] != 1.0:
-            raise ValueError("likelihood starts at 1")
-        if np.any(self.values <= 0.0):
-            raise ValueError("likelihood must stay positive")
-
-
 # widest window [-L, L] the initial-state sampler tries
 _X0_MAX_HALF_WIDTH = 12.0 * 2.0 ** 10
 
@@ -133,7 +120,8 @@ def _x0_sampler(model: ModelSpec, rng: np.random.Generator, n: int) -> np.ndarra
                 f"p0 keeps mass beyond |x| = {_X0_MAX_HALF_WIDTH:g} or none on the "
                 "sampling grid; cannot draw initial states"
             )
-    cdf = np.cumsum(pdf)
+    # trapezoid CDF: a left-point cumsum(pdf) puts every draw half a cell low
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]))))
     cdf = cdf / cdf[-1]
     u = rng.uniform(0.0, 1.0, n)
     return np.interp(u, cdf, xs)
@@ -243,45 +231,8 @@ def simulate_time_changed_state_direct(model: ModelSpec, T: InversePath, seed) -
 
 
 # ---------------------------------------------------------------------------
-# likelihoods and the Kallianpur-Striebel estimate
+# the weighted-particle loop and the Kallianpur-Striebel estimate
 # ---------------------------------------------------------------------------
-
-def likelihood_path(model: ModelSpec, X: StatePath, obs: ObservationRecord,
-                    T: InversePath | None = None) -> LikelihoodPath:
-    """Likelihood Lambda along one state path against one observation record.
-
-    log Lambda_t = sum_k [h(X_k) . dZ_k - 0.5 |h(X_k)|^2 dT_k]
-                   + sum_k sum_w nu_tot p_w (1 - lam(t_k, X_k, w)) dT_k
-                   + sum_{events s <= t} ln lam(s, X_{k(s)}, w),
-
-    left-point sums on obs.times, with X interpolated there and k(s) the left
-    node of the interval holding the event.  dT is diff(T.values), or obs.step
-    (the classical timing) when T is None.  The two marked-event sums are on
-    when the model has an observation-jump channel (model.jumps.obs_rate).
-    """
-    times = obs.times
-    M = len(times) - 1
-    dT = np.diff(T.values) if T is not None else np.full(M, obs.step)
-    xs = X.at(times)
-    h = model.h_matrix(xs[:-1])
-    inc = np.sum(h * obs.increments.reshape(M, -1), axis=1) - 0.5 * np.sum(h * h, axis=1) * dT
-    jumps = model.jumps
-    rated = jumps is not None and jumps.obs_rate is not None
-    if obs.events and not rated:
-        raise ValueError("observation events need a model with an observation-jump channel")
-    if rated:
-        for w, p in jumps.atoms:
-            lam = np.asarray(jumps.obs_rate(times[:-1], xs[:-1], w), dtype=float)
-            inc = inc + jumps.intensity * p * (1.0 - lam) * dT
-    logL = np.concatenate(([0.0], np.cumsum(inc)))
-    for (se, w) in obs.events:
-        k = min(max(int(np.searchsorted(times, se, side="left") - 1), 0), M - 1)
-        lam = float(np.asarray(jumps.obs_rate(se, xs[k], w)))
-        if lam <= 0.0:
-            raise ValueError(f"rate multiplier lam = {lam} at event ({se}, {w}); log undefined")
-        logL[k + 1:] += np.log(lam)
-    return LikelihoodPath(times=times.copy(), values=np.exp(logL))
-
 
 @dataclass(frozen=True)
 class KSEstimate:
@@ -300,11 +251,18 @@ def _weighted_particles(model: ModelSpec, times, dZ, dT, f, n_particles: int, se
 
     Particles follow the state equation under the reference measure on the
     clock increments dT and carry their log-likelihood against the observation
-    increments dZ (M, m), every term taken at the left node.  jumps is the
-    JumpSpec of an observed marked-event channel, None for a continuous-only
-    observation; with intensity > 0 each step adds the compensator
-    nu_tot p_w (1 - lam(t_k, x, w)) dT_k per atom, and each event (s_e, w) adds
-    ln lam(s_e, x, w) at the state of the left node of its interval.
+    increments dZ (M, m),
+
+        log Lambda_t = sum_k [h(X_k) . dZ_k - 0.5 |h(X_k)|^2 dT_k]
+                       + sum_k sum_w nu_tot p_w (1 - lam(t_k, X_k, w)) dT_k
+                       + sum_{events s <= t} ln lam(s, X_k(s), w),
+
+    every term taken at the left node, k(s) the left node of the interval
+    holding the event.  jumps is the JumpSpec of an observed marked-event
+    channel, None for a continuous-only observation; the two event sums are on
+    when its intensity is > 0.  A particle with lam = 0 at an event gets weight
+    0.  The state moves by drift and diffusion only, so a model whose
+    state-jump channel has intensity > 0 raises ValueError.
 
     For each (g, g', g'') in test_functions the per-particle residual of the
     filter equation at the horizon,
@@ -325,10 +283,14 @@ def _weighted_particles(model: ModelSpec, times, dZ, dT, f, n_particles: int, se
     k + 1 outputs of the full run bit for bit.
 
     Returns the per-node posterior mean of f, its delta-method standard error,
-    the ESS and the log mean raw weight, plus one residual dict per triple.
+    the ESS and the log mean raw weight, plus one {residual, se} dict per triple.
     """
     if n_particles < 100:
         raise ValueError("use at least 100 particles")
+    if (model.jumps is not None and model.jumps.state_jump_map is not None
+            and model.jumps.intensity > 0.0):
+        raise ValueError("the particle filters move particles by drift and diffusion only; "
+                         "filter a state-jump model with solve_fractional_zakai")
     M = len(dT)
     dZ = np.asarray(dZ, dtype=float).reshape(M, -1)
     rated = jumps is not None and jumps.intensity > 0.0
@@ -395,16 +357,10 @@ def _weighted_particles(model: ModelSpec, times, dZ, dT, f, n_particles: int, se
 
     residuals = []
     for (g, _, _), r, qv in zip(test_functions, rhs, qv_var):
-        lhs = np.asarray(g(y), dtype=float) * np.exp(logw)
-        R = lhs - r
+        R = np.asarray(g(y), dtype=float) * np.exp(logw) - r
         se_particles = float(R.std(ddof=1) / np.sqrt(n_particles))
-        residuals.append({
-            "residual": float(R.mean()),
-            "se": float(np.sqrt(se_particles ** 2 + qv)),
-            "se_particles": se_particles,
-            "se_quadratic_variation": float(np.sqrt(qv)),
-            "lhs": float(lhs.mean()),
-        })
+        residuals.append({"residual": float(R.mean()),
+                          "se": float(np.sqrt(se_particles ** 2 + qv))})
     return est, sd, ess, log_mean_w, tuple(residuals)
 
 
@@ -424,7 +380,9 @@ def kallianpur_striebel_estimate(
     of the state steps and of the quadratic penalty (pass diff(T) for
     time-changed problems).  Weight collapse (ESS < 2) is flagged in the
     output, not fatal.  A record with marked events is rejected: this
-    estimate has no event term (levy_ext.fractional_filter_jump_obs has).
+    estimate has no event term (levy_ext.fractional_filter_jump_obs has).  So
+    is a model whose state-jump channel has intensity > 0: particles move by
+    drift and diffusion only.
     """
     if observed.events:
         raise ValueError("the Kallianpur-Striebel estimate takes a continuous-only record; "

@@ -27,7 +27,6 @@ __all__ = [
     "invert_path",
     "sample_inverse_path",
     "stable_density",
-    "stable_cdf",
     "inverse_density_grid",
     "laplace_identity_residual",
     "tail_bound",
@@ -405,23 +404,6 @@ def stable_density(beta: float, u) -> np.ndarray | float:
         out[big] = _stable_density_series(u_arr[big], beta)
     if (~big).any():
         out[~big] = _stable_density_integral(u_arr[~big], beta)
-    return out if np.ndim(u) else float(out[0])
-
-
-def stable_cdf(beta: float, u) -> np.ndarray | float:
-    """CDF of D_1: P(D_1 <= u) = (1/pi) int_0^pi exp(-a(phi) u^(-b/(1-b))) dphi."""
-    beta = _check_beta(beta)
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if not np.all(u_arr > 0.0):
-        raise ValueError("stable_cdf requires u > 0")
-    nodes, wts = roots_legendre(256)
-    phi = 0.5 * np.pi * (nodes + 1.0)
-    log_a = _log_kanter_a(phi, beta)
-    with np.errstate(over="ignore"):
-        y = u_arr ** (-beta / (1.0 - beta))
-    w = np.exp(log_a)[None, :] * np.where(np.isfinite(y), y, np.inf)[:, None]
-    vals = np.where(w > _LOG_TINY, 0.0, np.exp(-np.minimum(w, _LOG_TINY)))
-    out = 0.5 * (vals * wts).sum(axis=1)
     return out if np.ndim(u) else float(out[0])
 
 

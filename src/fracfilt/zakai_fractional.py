@@ -330,40 +330,27 @@ def _solve_kernel(model, grid, T, obs):
 # subordination identity
 # ---------------------------------------------------------------------------
 
-def subordinate_filter(
-    beta: float,
-    t: float,
-    classical_solutions,
-):
+def subordinate_filter(beta: float, t: float, U: FilterDensityGrid) -> np.ndarray:
     """Average the classical solution over the inverse-subordinator clock.
 
-    Deterministic case (classical_solutions is one FilterDensityGrid, valid when
-    the solution is observation-free): returns integral g_t(tau) U(tau, x) dtau
-    by trapezoid over the solution's operational grid, and raises when the
-    weight mass beyond the stored horizon exceeds _TAIL_TOL.
-
-    Stochastic case (an iterable of clock-mode solves, each on its own clock):
-    returns the ensemble average of their profiles at real time t.
+    Returns integral g_t(tau) U(tau, x) dtau by trapezoid over U's operational
+    grid (valid when U is observation-free), and raises when the weight mass
+    beyond the stored horizon exceeds _TAIL_TOL.  The ensemble form of the
+    identity, the average of clock-mode solves over independent clocks, is
+    acceptance criterion 7.
     """
-    if isinstance(classical_solutions, FilterDensityGrid):
-        U = classical_solutions
-        taus = U.times
-        g = inverse_density_grid(beta, t, taus)
-        covered = np.trapezoid(g, taus)
-        tail = max(1.0 - covered, float(tail_bound(beta, t, taus[-1])))
-        if tail > _TAIL_TOL:
-            raise ValueError(
-                f"subordination weights leave {tail:.2e} mass beyond the stored "
-                f"operational horizon {taus[-1]:.4g}; solve U on a larger tau range"
-            )
-        w = g / covered
-        mid = 0.5 * (w[1:, None] * U.values[1:] + w[:-1, None] * U.values[:-1])
-        return (mid * np.diff(taus)[:, None]).sum(axis=0)
-
-    members = list(classical_solutions)
-    if not members:
-        raise ValueError("need at least one ensemble member")
-    return sum(Phi.at_time(float(t)) for Phi in members) / len(members)
+    taus = U.times
+    g = inverse_density_grid(beta, t, taus)
+    covered = np.trapezoid(g, taus)
+    tail = max(1.0 - covered, float(tail_bound(beta, t, taus[-1])))
+    if tail > _TAIL_TOL:
+        raise ValueError(
+            f"subordination weights leave {tail:.2e} mass beyond the stored "
+            f"operational horizon {taus[-1]:.4g}; solve U on a larger tau range"
+        )
+    w = g / covered
+    mid = 0.5 * (w[1:, None] * U.values[1:] + w[:-1, None] * U.values[:-1])
+    return (mid * np.diff(taus)[:, None]).sum(axis=0)
 
 
 def quadrature_and_kernel(model: ModelSpec, grid: SpatialGrid, t: float, step: float):

