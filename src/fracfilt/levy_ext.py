@@ -10,9 +10,9 @@ transpose of the jump generator, and zakai_classical.solve_zakai is that solver
 on the identity clock.  A state-jump path is an sde_sim.StatePath with a jump
 log, stepped by sde_sim's one Euler-Maruyama loop with its jump-epoch sub-step
 switched on.  A jump observation is an sde_sim.ObservationRecord with events.
-The jump-observation filter is the Kallianpur-Striebel weighted-particle loop
-of sde_sim (_weighted_particles) with the marked-event likelihood terms switched
-on; that loop is the one implementation of the likelihood.
+fractional_filter_jump_obs is sde_sim's weighted-particle loop (the one
+implementation of the likelihood) on the clock T, for any observation model;
+the Kallianpur-Striebel estimate is that loop on the identity clock.
 """
 
 from __future__ import annotations
@@ -135,22 +135,19 @@ def fractional_filter_jump_obs(
     """Weighted-particle filter phi_t(f) = E_ref[f(X_t) L_{T_t} | observations].
 
     Particles follow the time-changed state equation under the reference measure
-    with the SHARED clock T; weights are the jump-observation likelihoods along
-    the time-changed clock.  residual_test_functions is a sequence of
-    (f, f', f'') triples; for each, the filter equation is evaluated residually
-    at the final time with every term estimated from the same particle cloud,
-    and the per-particle residual mean and standard error are reported.  The
-    loop is the Kallianpur-Striebel one (sde_sim._weighted_particles) with the
-    marked-event channel switched on, so with intensity 0 the two filters agree
-    exactly, and like it the filter rejects a model whose state jumps fire.
+    with the SHARED clock T; weights are the observation likelihoods along the
+    time-changed clock, marked-event terms included when the model's
+    observation-jump channel has intensity > 0.  obs must live on T.times.
+    residual_test_functions is a sequence of (f, f', f'') triples; for each,
+    the filter equation is evaluated residually at the final time with every
+    term estimated from the same particle cloud, and the per-particle residual
+    mean and standard error are reported.  A record with events and no live
+    observation-jump channel raises, and so does a state-jump channel that fires.
     """
-    jumps = model.jumps
-    if jumps is None or jumps.obs_rate is None:
-        raise ValueError("model carries no observation jump specification")
+    if not np.array_equal(obs.times, T.times):
+        raise ValueError("the observation record must live on the clock's real-time grid T.times")
     post, _, ess, log_mean_w, residuals = _weighted_particles(
-        model, T.times, obs.increments, np.diff(T.values), f, n_particles, seed,
-        jumps=jumps, events=obs.events, test_functions=residual_test_functions,
-    )
+        model, obs, np.diff(T.values), f, n_particles, seed, residual_test_functions)
     return JumpFilterResult(
         times=T.times.copy(),
         posterior=post,

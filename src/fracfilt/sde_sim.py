@@ -9,10 +9,10 @@ ensemble, the direct time-changed simulator and levy_ext.simulate_jump_state.
 
 An ObservationRecord holds the continuous observation path and, for a model
 with an observation-jump channel, its marked events.  _weighted_particles is
-the one particle loop behind the Kallianpur-Striebel estimate and levy_ext's
-jump-observation filter, and the one implementation of the likelihood Lambda,
+the one particle filter and the one implementation of the likelihood Lambda,
 marked-event terms included: each particle carries log Lambda along its own
-path.
+path.  levy_ext.fractional_filter_jump_obs runs it on any clock T, and the
+Kallianpur-Striebel estimate runs it on the identity clock T_t = t.
 
 All stochastic integrals are left-point (Ito) sums.  Randomness is counter-based
 (Philox keyed by the seed), and runs are reproducible bit-for-bit.  The
@@ -67,7 +67,8 @@ class ObservationRecord:
     """Observation path on a uniform grid; values start at 0; shape (M+1,) or (M+1, m).
 
     events are the marked jump events ((time, mark), ...) of an observation-jump
-    channel in strictly increasing time; () for a continuous-only observation.
+    channel in strictly increasing time inside [times[0], times[-1]]; () for a
+    continuous-only observation.
     """
 
     times: np.ndarray
@@ -80,6 +81,8 @@ class ObservationRecord:
         ts = [t for t, _ in self.events]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("event times must be strictly increasing")
+        if ts and (ts[0] < self.times[0] or ts[-1] > self.times[-1]):
+            raise ValueError("event times must lie in [times[0], times[-1]]")
 
     @property
     def step(self) -> float:
@@ -245,23 +248,23 @@ class KSEstimate:
     posterior_sd: np.ndarray = field(default=None)
 
 
-def _weighted_particles(model: ModelSpec, times, dZ, dT, f, n_particles: int, seed,
-                        jumps=None, events=(), test_functions=()):
+def _weighted_particles(model: ModelSpec, record: ObservationRecord, dT, f, n_particles: int,
+                        seed, test_functions=()):
     """The weighted-particle loop behind both particle filters.
 
     Particles follow the state equation under the reference measure on the
-    clock increments dT and carry their log-likelihood against the observation
-    increments dZ (M, m),
+    clock increments dT and carry their log-likelihood against the record's
+    observation increments dZ (M, m) and marked events,
 
         log Lambda_t = sum_k [h(X_k) . dZ_k - 0.5 |h(X_k)|^2 dT_k]
                        + sum_k sum_w nu_tot p_w (1 - lam(t_k, X_k, w)) dT_k
                        + sum_{events s <= t} ln lam(s, X_k(s), w),
 
     every term taken at the left node, k(s) the left node of the interval
-    holding the event.  jumps is the JumpSpec of an observed marked-event
-    channel, None for a continuous-only observation; the two event sums are on
-    when its intensity is > 0.  A particle with lam = 0 at an event gets weight
-    0.  The state moves by drift and diffusion only, so a model whose
+    holding the event.  The two event sums are on when model.jumps is an
+    observation-jump channel with intensity > 0; a record with events and no
+    such channel raises ValueError.  A particle with lam = 0 at an event gets
+    weight 0.  The state moves by drift and diffusion only, so a model whose
     state-jump channel has intensity > 0 raises ValueError.
 
     For each (g, g', g'') in test_functions the per-particle residual of the
@@ -287,17 +290,21 @@ def _weighted_particles(model: ModelSpec, times, dZ, dT, f, n_particles: int, se
     """
     if n_particles < 100:
         raise ValueError("use at least 100 particles")
-    if (model.jumps is not None and model.jumps.state_jump_map is not None
-            and model.jumps.intensity > 0.0):
+    jumps = model.jumps
+    live = jumps is not None and jumps.intensity > 0.0
+    if live and jumps.state_jump_map is not None:
         raise ValueError("the particle filters move particles by drift and diffusion only; "
                          "filter a state-jump model with solve_fractional_zakai")
+    rated = live and jumps.obs_rate is not None
+    if record.events and not rated:
+        raise ValueError("the record has marked events but the model has no observation jump "
+                         "specification with intensity > 0")
+    times = record.times
     M = len(dT)
-    dZ = np.asarray(dZ, dtype=float).reshape(M, -1)
-    rated = jumps is not None and jumps.intensity > 0.0
+    dZ = np.asarray(record.increments, dtype=float).reshape(M, -1)
     ev_at = [[] for _ in range(M)]
-    for (se, w) in events:
-        k = int(np.searchsorted(times, se, side="left") - 1)
-        ev_at[min(max(k, 0), M - 1)].append((se, w))
+    for (se, w) in record.events:      # in [times[0], times[-1]]; times[0] is in step 0
+        ev_at[max(int(np.searchsorted(times, se, side="left")) - 1, 0)].append((se, w))
 
     rng = _rng(seed)
     y = _x0_sampler(model, rng, n_particles)
@@ -364,38 +371,20 @@ def _weighted_particles(model: ModelSpec, times, dZ, dT, f, n_particles: int, se
     return est, sd, ess, log_mean_w, tuple(residuals)
 
 
-def kallianpur_striebel_estimate(
-    model: ModelSpec,
-    observed: ObservationRecord,
-    f,
-    n_particles: int,
-    seed,
-    dt_weights=None,
-) -> KSEstimate:
+def kallianpur_striebel_estimate(model: ModelSpec, observed: ObservationRecord, f,
+                                 n_particles: int, seed) -> KSEstimate:
     """Reference-measure particle estimate sum_i f(Y^i) L^i / sum_i L^i per step.
 
-    Particles are independent copies of the state simulated under the reference
-    measure; each is weighted by its exponential likelihood evaluated against
-    the GIVEN observation increments.  dt_weights overrides the clock increments
-    of the state steps and of the quadratic penalty (pass diff(T) for
-    time-changed problems).  Weight collapse (ESS < 2) is flagged in the
-    output, not fatal.  A record with marked events is rejected: this
-    estimate has no event term (levy_ext.fractional_filter_jump_obs has).  So
-    is a model whose state-jump channel has intensity > 0: particles move by
-    drift and diffusion only.
+    The weighted-particle filter of levy_ext.fractional_filter_jump_obs on the
+    identity clock T_t = t, against the GIVEN record: marked-event terms
+    included when the model's observation-jump channel has intensity > 0, and
+    a state-jump channel that fires rejected.  The record must live on a
+    uniform time grid.  Weight collapse (ESS < 2) is flagged, not fatal.
     """
-    if observed.events:
-        raise ValueError("the Kallianpur-Striebel estimate takes a continuous-only record; "
-                         "filter marked events with levy_ext.fractional_filter_jump_obs")
-    dt = np.broadcast_to(np.asarray(observed.step if dt_weights is None else dt_weights,
-                                    dtype=float), (len(observed.times) - 1,))
-    est, sd, ess, _, _ = _weighted_particles(
-        model, observed.times, observed.increments, dt, f, n_particles, seed
-    )
-    return KSEstimate(
-        times=observed.times,
-        values=est,
-        ess=ess,
-        weight_collapse=bool(np.min(ess) < 2.0),
-        posterior_sd=sd,
-    )
+    M = len(observed.times) - 1
+    if not np.allclose(np.diff(observed.times), observed.step):
+        raise ValueError("the Kallianpur-Striebel estimate needs a record on a uniform time grid")
+    est, sd, ess, _, _ = _weighted_particles(model, observed, np.full(M, observed.step), f,
+                                             n_particles, seed)
+    return KSEstimate(times=observed.times, values=est, ess=ess,
+                      weight_collapse=bool(np.min(ess) < 2.0), posterior_sd=sd)

@@ -202,7 +202,8 @@ def sample_stable_path(beta: float, horizon: float, step: float, seed) -> Subord
 
 def unit_slope_inverse(horizon: float, step: float) -> InversePath:
     """Identity clock T_t = t on the grid {0, step, 2*step, ...} covering horizon."""
-    n = int(np.ceil(horizon / step))
+    # 1e-9: 0.07 / 0.01 = 7.000000000000001 is 7 steps, not 8
+    n = int(np.ceil(horizon / step - 1e-9))
     times = step * np.arange(n + 1)
     return InversePath(times=times, values=times.copy())
 

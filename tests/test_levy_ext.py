@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from fracfilt import levy_ext
 from fracfilt.models import JumpSpec, ModelSpec, SpatialGrid, gaussian_density, named_model
 from fracfilt.sde_sim import (
     ObservationRecord,
-    kallianpur_striebel_estimate,
     simulate_classical_pair,
     simulate_time_changed_state_direct,
 )
@@ -250,6 +250,8 @@ class TestJumpObservationFilter:
         assert np.allclose(res.posterior, 1.0, atol=1e-12)
 
     def test_nu_zero_matches_continuous_particles_exactly(self):
+        # a channel at intensity 0 adds no term: the filter of the channel-free
+        # model on the same time-changed pair and seed
         m, T, X, obs = self.setup_single_run(seed=73)
         nu0 = ModelSpec(drift=m.drift, sigma=m.sigma, observation=m.observation,
                         beta=m.beta, p0=m.p0,
@@ -257,9 +259,15 @@ class TestJumpObservationFilter:
                                        obs_rate=m.jumps.obs_rate))
         obs0 = ObservationRecord(times=T.times, values=obs.values)
         res = levy_ext.fractional_filter_jump_obs(nu0, T, obs0, lambda x: x, 500, seed=74)
-        ks = kallianpur_striebel_estimate(nu0, obs0, lambda x: x, 500, seed=74,
-                                          dt_weights=np.diff(T.values))
-        assert np.max(np.abs(res.posterior - ks.values)) < 1e-10
+        cont = levy_ext.fractional_filter_jump_obs(replace(m, jumps=None), T, obs0,
+                                                   lambda x: x, 500, seed=74)
+        assert np.max(np.abs(res.posterior - cont.posterior)) < 1e-10
+
+    def test_record_off_the_clock_grid_raises(self):
+        m, T, X, obs = self.setup_single_run(seed=79)
+        stretched = ObservationRecord(times=2.0 * T.times, values=obs.values, events=obs.events)
+        with pytest.raises(ValueError, match="real-time grid"):
+            levy_ext.fractional_filter_jump_obs(m, T, stretched, lambda x: x, 200, seed=79)
 
     def test_equation_residual_within_combined_errors(self):
         m, T, X, obs = self.setup_single_run(seed=75)

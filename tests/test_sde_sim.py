@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fracfilt.levy_ext import fractional_filter_jump_obs
+from fracfilt.levy_ext import fractional_filter_jump_obs, simulate_jump_observation
 from fracfilt.models import JumpSpec, ModelSpec, gaussian_density, named_model
 from fracfilt.sde_sim import (
     ObservationRecord,
@@ -211,13 +211,6 @@ class TestDirectTimeChanged:
         assert abs(v1 - v2) < 3.0 * se_var
 
 
-def with_silent_channel(m):
-    """m with an observation-jump channel at intensity 0, which adds no term."""
-    return replace(m, jumps=JumpSpec(
-        intensity=0.0, atoms=[(1.0, 1.0)],
-        obs_rate=lambda t, x, w: np.ones_like(np.asanyarray(x, dtype=float))))
-
-
 def unit_clock(times):
     return InversePath(times=times, values=times)
 
@@ -228,7 +221,7 @@ class TestLikelihood:
     mean of Lambda_t."""
 
     def test_zero_h_gives_unit_likelihood(self):
-        m = with_silent_channel(flat_model(h=0.0))
+        m = flat_model(h=0.0)
         _, Z = simulate_classical_pair(m, 1.0, 1e-2, seed=21)
         res = fractional_filter_jump_obs(m, unit_clock(Z.times), Z, np.ones_like, 100, seed=22)
         assert np.all(res.unnormalized == 1.0)
@@ -236,7 +229,7 @@ class TestLikelihood:
     def test_martingale_mean_under_reference(self):
         # under the reference measure Z is a Brownian motion independent of the
         # state, so E[Lambda_1] = 1 over independent records
-        m = with_silent_channel(named_model("ou-linear", 0.5))
+        m = named_model("ou-linear", 0.5)
         n_records, step = 300, 1e-2
         times = np.linspace(0.0, 1.0, 101)
         rng = np.random.Generator(np.random.Philox(key=98))
@@ -255,6 +248,27 @@ class TestLikelihood:
         obs = ObservationRecord(Z.times, Z.values, events=((0.5, 1.0),))
         with pytest.raises(ValueError, match="observation jump specification"):
             fractional_filter_jump_obs(m, unit_clock(Z.times), obs, lambda x: x, 100, seed=25)
+        with pytest.raises(ValueError, match="observation jump specification"):
+            kallianpur_striebel_estimate(m, obs, lambda x: x, 100, seed=25)
+
+    def test_events_outside_the_record_raise(self):
+        times = np.linspace(0.0, 1.0, 101)
+        for t in (1.5, -0.1):
+            with pytest.raises(ValueError, match="must lie in"):
+                ObservationRecord(times, np.zeros(101), events=((t, 1.0),))
+        ObservationRecord(times, np.zeros(101), events=((0.0, 1.0), (1.0, 1.0)))
+
+    def test_events_on_a_silent_channel_raise(self):
+        # a channel at intensity 0 cannot have produced an event: the event
+        # terms would be dropped without a word
+        jm = named_model("jump-poisson", 0.5)
+        silent = replace(jm, jumps=replace(jm.jumps, intensity=0.0))
+        times = np.linspace(0.0, 1.0, 101)
+        obs = ObservationRecord(times, np.zeros(101), events=((0.5, 1.0),))
+        with pytest.raises(ValueError, match="observation jump specification"):
+            fractional_filter_jump_obs(silent, unit_clock(times), obs, lambda x: x, 100, seed=25)
+        with pytest.raises(ValueError, match="observation jump specification"):
+            kallianpur_striebel_estimate(silent, obs, lambda x: x, 100, seed=25)
 
     def test_state_jumps_rejected_by_both_filters(self):
         # particles move by drift and diffusion only, so a state-jump channel
@@ -281,11 +295,11 @@ class TestLikelihood:
     def test_two_dimensional_h_matches_hand_sum(self):
         # sigma = b = 0: every particle keeps its initial state, so Lambda is a
         # hand sum along a constant path
-        m = with_silent_channel(ModelSpec(
+        m = ModelSpec(
             drift=lambda x: np.zeros_like(x), sigma=lambda x: np.zeros_like(x),
             observation=lambda x: np.stack([x, np.tanh(x)], axis=-1),
             beta=0.5, p0=gaussian_density(0.0, 1.0),
-        ))
+        )
         _, Z = simulate_classical_pair(m, 1.0, 1e-2, seed=26)
         assert Z.values.shape == (101, 2)
         # a clock with a plateau: dT comes from T, not from the grid step
@@ -303,7 +317,7 @@ class TestLikelihood:
         assert np.allclose(res.unnormalized, hand, rtol=1e-12, atol=0.0)
 
     def test_positivity(self):
-        m = with_silent_channel(named_model("benes-like", 0.5))
+        m = named_model("benes-like", 0.5)
         _, Z = simulate_classical_pair(m, 1.0, 1e-2, seed=23)
         res = fractional_filter_jump_obs(m, unit_clock(Z.times), Z, np.ones_like, 100, seed=23)
         assert np.all(res.unnormalized > 0.0)
@@ -337,15 +351,25 @@ class TestKallianpurStriebel:
         est = kallianpur_striebel_estimate(m, Z, lambda x: x, 100, seed=36)
         assert est.weight_collapse is True
 
-    def test_marked_events_rejected(self):
-        # the estimate has no event term; fractional_filter_jump_obs filters events
-        m = named_model("jump-poisson", 0.5)
-        times = np.linspace(0.0, 1.0, 101)
-        plain = ObservationRecord(times=times, values=np.zeros(101))
-        kallianpur_striebel_estimate(m, plain, lambda x: x, 100, seed=39)
-        marked = ObservationRecord(times=times, values=np.zeros(101), events=((0.5, 1.0),))
-        with pytest.raises(ValueError, match="continuous-only"):
-            kallianpur_striebel_estimate(m, marked, lambda x: x, 100, seed=39)
+    def test_is_the_jump_filter_on_the_identity_clock(self):
+        # one loop on two clocks: marked events included, the estimate equals
+        # fractional_filter_jump_obs on T_t = t (dT = diff(times) against the
+        # record's step differs in the last bits only)
+        m = named_model("jump-poisson", 0.5, rate=5.0)
+        T = unit_slope_inverse(1.0, 1e-3)
+        X = simulate_time_changed_state_direct(m, T, seed=39)
+        obs = simulate_jump_observation(m, X, T, seed=40)
+        assert len(obs.events) > 0
+        ks = kallianpur_striebel_estimate(m, obs, lambda x: x, 200, seed=41)
+        jf = fractional_filter_jump_obs(m, T, obs, lambda x: x, 200, seed=41)
+        assert np.max(np.abs(ks.values - jf.posterior)) < 1e-12
+        assert np.max(np.abs(ks.ess - jf.ess)) < 1e-9
+
+    def test_non_uniform_record_raises(self):
+        m = named_model("ou-linear", 0.5)
+        obs = ObservationRecord(times=np.array([0.0, 0.01, 0.03, 0.04]), values=np.zeros(4))
+        with pytest.raises(ValueError, match="uniform"):
+            kallianpur_striebel_estimate(m, obs, lambda x: x, 100, seed=39)
 
     def test_prefix_run_reproduces_the_full_run(self):
         # one sequential noise stream, drawn step by step: the estimate is online,

@@ -17,6 +17,7 @@ from fracfilt.subordinator import (
     stable_density,
     tail_bound,
     tau_cutoff,
+    unit_slope_inverse,
 )
 
 
@@ -406,3 +407,12 @@ class TestPathTypes:
             InversePath(times=np.array([0.0, 1.0]), values=np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
             InversePath(times=np.array([0.0, 1.0, 2.0]), values=np.array([0.0, 1.0, 0.5]))
+
+    @pytest.mark.parametrize("horizon, step, n", [(0.07, 0.01, 7), (0.14, 0.01, 14),
+                                                  (0.28, 0.02, 14), (0.075, 0.01, 8)])
+    def test_unit_slope_inverse_covers_the_horizon_without_overshoot(self, horizon, step, n):
+        # 0.07 / 0.01 rounds to 7.000000000000001: still 7 steps, not one past
+        T = unit_slope_inverse(horizon, step)
+        assert len(T.times) == n + 1
+        assert T.times[-1] >= horizon - 1e-12 and T.times[-2] < horizon
+        assert np.array_equal(T.values, T.times)

@@ -343,6 +343,13 @@ class TestErrors:
         with pytest.raises(ValueError, match="cover"):
             solve_fractional_zakai(model, GRID, T, zero_obs(0.5, 1e-2))
 
+    def test_identity_clock_fits_a_classical_record_of_the_same_horizon(self):
+        # 0.07 / 0.01 = 7.000000000000001: the clock must not step past the record
+        m = relaxing_ou()
+        _, Z = simulate_classical_pair(m, 0.07, 0.01, seed=5)
+        Phi = solve_fractional_zakai(m, GRID, unit_slope_inverse(0.07, 0.01), Z)
+        assert np.array_equal(Phi.values, solve_zakai(m, GRID, Z).values)
+
     def test_history_buffer_guard(self, monkeypatch):
         import fracfilt.zakai_fractional as zf
         monkeypatch.setattr(zf, "_MAX_STEPS", 100)
