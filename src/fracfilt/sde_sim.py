@@ -18,17 +18,21 @@ All stochastic integrals are left-point (Ito) sums.  Randomness is counter-based
 (Philox keyed by the seed), and runs are reproducible bit-for-bit.  The
 Euler-Maruyama loop draws one (n_paths, M) block, so path i owns row i of each
 noise array.  The particle loop reads one sequential stream: the n_particles
-initial-state uniforms, then step k's n_particles normals for k = 0, 1, ...
+initial-state uniforms, then step k's n_particles normals for k = 0, 1, ...;
+after the initial states one worker thread draws the normals a block of steps
+ahead from that same stream, so the numbers are the ones a step-by-step draw
+would give.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .models import ModelSpec
-from .subordinator import InversePath, _rng
+from .subordinator import InversePath, _is_uniform, _rng
 
 __all__ = [
     "StatePath",
@@ -237,6 +241,11 @@ def simulate_time_changed_state_direct(model: ModelSpec, T: InversePath, seed) -
 # the weighted-particle loop and the Kallianpur-Striebel estimate
 # ---------------------------------------------------------------------------
 
+# normals per block that the particle loop's worker draws ahead (1 MB); large
+# enough that one handoff per block costs little against the draw it overlaps
+_NOISE_BLOCK = 2 ** 17
+
+
 @dataclass(frozen=True)
 class KSEstimate:
     """Weighted-particle posterior estimate of E[f(Y_t) | observations up to t]."""
@@ -280,10 +289,14 @@ def _weighted_particles(model: ModelSpec, record: ObservationRecord, dT, f, n_pa
     realized-quadratic-variation fluctuation sum_k c_k ((dZ_k)^2 - dT_k),
     which is common to every particle.
 
-    The noise is drawn inside the step loop from the one Philox stream, after
-    the initial states: step k takes the next n_particles normals.  Memory is
-    O(n_particles), and a run on the first k steps of a record gives the first
-    k + 1 outputs of the full run bit for bit.
+    The noise comes from the one Philox stream, after the initial states: step
+    k takes the next n_particles normals.  A worker thread draws them a block
+    of S = max(1, _NOISE_BLOCK // n_particles) steps ahead, as (S, n_particles)
+    arrays that fill sequentially from the same stream, while this thread
+    weights the current steps; only the worker touches the stream after the
+    initial states, and it is joined before the function returns or raises.
+    Memory is O(n_particles) (at most two blocks alive), and a run on the first
+    k steps of a record gives the first k + 1 outputs of the full run bit for bit.
 
     Returns the per-node posterior mean of f, its delta-method standard error,
     the ESS and the log mean raw weight, plus one {residual, se} dict per triple.
@@ -327,40 +340,52 @@ def _weighted_particles(model: ModelSpec, record: ObservationRecord, dT, f, n_pa
         log_mean_w[k] = top + np.log(wsum / n_particles)
 
     record(0, y, logw)
-    for k in range(M):
-        h = model.h_matrix(y)
-        hdz, hh = np.dot(h, dZ[k]), np.sum(h * h, axis=1)
-        b, s = model.drift(y), model.sigma(y)
-        L = np.exp(logw) if test_functions else None
-        gL = []
-        for i, (g, g1, g2) in enumerate(test_functions):
-            gL.append(np.asarray(g(y), dtype=float) * L)
-            Ag = 0.5 * s ** 2 * np.asarray(g2(y), dtype=float) + b * np.asarray(g1(y), dtype=float)
-            rhs[i] += Ag * L * dT[k] + hdz * gL[i]
-            c = 0.5 * float(np.mean(hh * gL[i]))
-            qv_var[i] += c * c * 2.0 * dT[k] ** 2
-        logw = logw + hdz - 0.5 * hh * dT[k]
-        if rated:
-            for w, p in jumps.atoms:
-                lam = np.asarray(jumps.obs_rate(times[k], y, w), dtype=float)
-                if np.any(lam < 0.0):
-                    raise ValueError("rate multiplier must stay nonnegative")
-                logw = logw + jumps.intensity * p * (1.0 - lam) * dT[k]
-                for r, gl in zip(rhs, gL):
-                    r -= jumps.intensity * p * (lam - 1.0) * gl * dT[k]
-            for (se, w) in ev_at[k]:
-                lam = np.asarray(jumps.obs_rate(se, y, w), dtype=float)
-                if np.any(lam < 0.0):
-                    raise ValueError(f"rate multiplier lam < 0 at event ({se}, {w}); log undefined")
-                # a particle with lam = 0 cannot have produced the event: weight 0
-                logw = logw + np.log(lam, out=np.full_like(lam, -np.inf), where=lam > 0.0)
-                if np.all(logw == -np.inf):
-                    raise ValueError(f"no particle with weight has lam > 0 at event "
-                                     f"({se}, {w}); log undefined")
-                for r, gl in zip(rhs, gL):
-                    r += (lam - 1.0) * gl
-        y = y + b * dT[k] + s * np.sqrt(dT[k]) * rng.standard_normal(n_particles)
-        record(k + 1, y, logw)
+    S = max(1, _NOISE_BLOCK // n_particles)
+
+    def draw(k):
+        """The normals of steps k .. min(k + S, M) - 1, one row per step."""
+        return rng.standard_normal((min(S, M - k), n_particles))
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(draw, 0)
+        for k in range(M):
+            if k % S == 0:
+                noise = pending.result()
+                if k + S < M:
+                    pending = pool.submit(draw, k + S)
+            h = model.h_matrix(y)
+            hdz, hh = np.dot(h, dZ[k]), np.sum(h * h, axis=1)
+            b, s = model.drift(y), model.sigma(y)
+            L = np.exp(logw) if test_functions else None
+            gL = []
+            for i, (g, g1, g2) in enumerate(test_functions):
+                gL.append(np.asarray(g(y), dtype=float) * L)
+                Ag = 0.5 * s ** 2 * np.asarray(g2(y), dtype=float) + b * np.asarray(g1(y), dtype=float)
+                rhs[i] += Ag * L * dT[k] + hdz * gL[i]
+                c = 0.5 * float(np.mean(hh * gL[i]))
+                qv_var[i] += c * c * 2.0 * dT[k] ** 2
+            logw = logw + hdz - 0.5 * hh * dT[k]
+            if rated:
+                for w, p in jumps.atoms:
+                    lam = np.asarray(jumps.obs_rate(times[k], y, w), dtype=float)
+                    if np.any(lam < 0.0):
+                        raise ValueError("rate multiplier must stay nonnegative")
+                    logw = logw + jumps.intensity * p * (1.0 - lam) * dT[k]
+                    for r, gl in zip(rhs, gL):
+                        r -= jumps.intensity * p * (lam - 1.0) * gl * dT[k]
+                for (se, w) in ev_at[k]:
+                    lam = np.asarray(jumps.obs_rate(se, y, w), dtype=float)
+                    if np.any(lam < 0.0):
+                        raise ValueError(f"rate multiplier lam < 0 at event ({se}, {w}); log undefined")
+                    # a particle with lam = 0 cannot have produced the event: weight 0
+                    logw = logw + np.log(lam, out=np.full_like(lam, -np.inf), where=lam > 0.0)
+                    if np.all(logw == -np.inf):
+                        raise ValueError(f"no particle with weight has lam > 0 at event "
+                                         f"({se}, {w}); log undefined")
+                    for r, gl in zip(rhs, gL):
+                        r += (lam - 1.0) * gl
+            y = y + b * dT[k] + s * np.sqrt(dT[k]) * noise[k % S]
+            record(k + 1, y, logw)
 
     residuals = []
     for (g, _, _), r, qv in zip(test_functions, rhs, qv_var):
@@ -382,7 +407,7 @@ def kallianpur_striebel_estimate(model: ModelSpec, observed: ObservationRecord, 
     uniform time grid.  Weight collapse (ESS < 2) is flagged, not fatal.
     """
     M = len(observed.times) - 1
-    if not np.allclose(np.diff(observed.times), observed.step):
+    if not _is_uniform(observed.times):
         raise ValueError("the Kallianpur-Striebel estimate needs a record on a uniform time grid")
     est, sd, ess, _, _ = _weighted_particles(model, observed, np.full(M, observed.step), f,
                                              n_particles, seed)

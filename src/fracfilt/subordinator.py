@@ -75,6 +75,14 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
+def _is_uniform(grid: np.ndarray) -> bool:
+    """Whether every step of a grid of two or more nodes equals the first to a
+    relative 1e-5; relative only, since an absolute tolerance passes any grid
+    whose steps are all below it."""
+    d = np.diff(grid)
+    return bool(np.allclose(d, d[0], atol=0.0))
+
+
 def _check_time(t: float) -> None:
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
@@ -221,7 +229,7 @@ def invert_path(path: SubordinatorPath, real_time_grid: np.ndarray) -> InversePa
     d = np.diff(grid)
     if grid[0] != 0.0 or np.any(d <= 0):
         raise ValueError("real_time_grid must increase from 0")
-    if not np.allclose(d, d[0]):
+    if not _is_uniform(grid):
         raise ValueError("real_time_grid must be uniform")
     if path.horizon_reached < grid[-1]:
         raise ValueError(

@@ -54,7 +54,8 @@ from scipy.special import gamma as _gamma
 from .fraccalc import _lag_convolution, trapezoid_weights
 from .models import ModelSpec, SpatialGrid, adjoint_diagonals, adjoint_matrix, jump_generator_matrix
 from .sde_sim import ObservationRecord, _uniform_times
-from .subordinator import InversePath, inverse_density_grid, tail_bound, tau_cutoff, unit_slope_inverse
+from .subordinator import (InversePath, _is_uniform, inverse_density_grid, tail_bound, tau_cutoff,
+                           unit_slope_inverse)
 
 __all__ = [
     "FilterDensityGrid",
@@ -156,8 +157,7 @@ def solve_fractional_zakai(
     """
     model.validate_on_grid(grid)
     times = T.times
-    dt = T.step
-    if not np.allclose(np.diff(times), dt):
+    if not _is_uniform(times):
         raise ValueError("the clock must live on a uniform real-time grid")
     if float(np.max(T.values)) > obs_operational.times[-1] + 1e-12:
         raise ValueError("operational observation does not cover max(T); simulate Z further")

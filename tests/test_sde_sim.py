@@ -1,9 +1,11 @@
+import threading
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fracfilt import sde_sim
 from fracfilt.levy_ext import fractional_filter_jump_obs, simulate_jump_observation
 from fracfilt.models import JumpSpec, ModelSpec, gaussian_density, named_model
 from fracfilt.sde_sim import (
@@ -366,22 +368,29 @@ class TestKallianpurStriebel:
         assert np.max(np.abs(ks.ess - jf.ess)) < 1e-9
 
     def test_non_uniform_record_raises(self):
+        # the test is relative: steps of 1e-9 and 2e-9 sit inside an absolute 1e-8
         m = named_model("ou-linear", 0.5)
-        obs = ObservationRecord(times=np.array([0.0, 0.01, 0.03, 0.04]), values=np.zeros(4))
-        with pytest.raises(ValueError, match="uniform"):
-            kallianpur_striebel_estimate(m, obs, lambda x: x, 100, seed=39)
+        for scale in (1e-2, 1e-9):
+            obs = ObservationRecord(times=scale * np.array([0.0, 1.0, 3.0, 4.0]),
+                                    values=np.zeros(4))
+            with pytest.raises(ValueError, match="uniform"):
+                kallianpur_striebel_estimate(m, obs, lambda x: x, 100, seed=39)
 
     def test_prefix_run_reproduces_the_full_run(self):
-        # one sequential noise stream, drawn step by step: the estimate is online,
-        # so a run on the first 200 steps gives the first 201 outputs of the full run
+        # one sequential noise stream, drawn a block of S steps ahead: the estimate
+        # is online, so a run on the first k steps gives the first k + 1 outputs of
+        # the full run, also where k ends just before, at or just after a block edge
         m = named_model("ou-linear", 0.5)
         _, Z = simulate_classical_pair(m, 1.0, 2.5e-3, seed=40)
-        head = ObservationRecord(times=Z.times[:201], values=Z.values[:201])
+        S = sde_sim._NOISE_BLOCK // 500
+        assert S + 1 < len(Z.times) - 1
         full = kallianpur_striebel_estimate(m, Z, lambda x: x, 500, seed=41)
-        part = kallianpur_striebel_estimate(m, head, lambda x: x, 500, seed=41)
-        assert np.array_equal(part.values, full.values[:201])
-        assert np.array_equal(part.posterior_sd, full.posterior_sd[:201])
-        assert np.array_equal(part.ess, full.ess[:201])
+        for k in (200, S - 1, S, S + 1):
+            head = ObservationRecord(times=Z.times[:k + 1], values=Z.values[:k + 1])
+            part = kallianpur_striebel_estimate(m, head, lambda x: x, 500, seed=41)
+            assert np.array_equal(part.values, full.values[:k + 1])
+            assert np.array_equal(part.posterior_sd, full.posterior_sd[:k + 1])
+            assert np.array_equal(part.ess, full.ess[:k + 1])
 
     def test_memory_does_not_grow_with_particles_times_steps(self):
         # 10k particles over 2000 steps: an (n, M) noise array would be 160 MB,
@@ -402,3 +411,51 @@ class TestKallianpurStriebel:
         _, Z = simulate_classical_pair(m, 0.2, 1e-2, seed=37)
         with pytest.raises(ValueError):
             kallianpur_striebel_estimate(m, Z, lambda x: x, 50, seed=38)
+
+
+class TestNoiseBlocks:
+    """The worker's blocks of S steps give the step-by-step stream, and no thread
+    outlives a call."""
+
+    N = 4096                                  # S = _NOISE_BLOCK // N steps per block
+
+    def test_one_step_blocks_give_the_same_bits(self, monkeypatch):
+        S = sde_sim._NOISE_BLOCK // self.N
+        M = 2 * S + 3                         # the last block is a short one
+        m = named_model("ou-linear", 0.5)
+        _, Z = simulate_classical_pair(m, M * 1e-2, 1e-2, seed=50)
+        jm = named_model("jump-poisson", 0.5, rate=20.0)
+        T = unit_slope_inverse(M * 1e-2, 1e-2)
+        obs = simulate_jump_observation(jm, simulate_time_changed_state_direct(jm, T, seed=51),
+                                        T, seed=52)
+        assert len(Z.times) == len(T.times) == M + 1 and len(obs.events) > 0
+        f = lambda x: x
+
+        def runs():
+            ks = kallianpur_striebel_estimate(m, Z, f, self.N, seed=53)
+            jf = fractional_filter_jump_obs(jm, T, obs, f, self.N, seed=54,
+                                            residual_test_functions=[(f, np.ones_like,
+                                                                      np.zeros_like)])
+            return ks.values, ks.posterior_sd, ks.ess, jf.posterior, jf.unnormalized, jf.ess
+
+        blocked = runs()
+        monkeypatch.setattr(sde_sim, "_NOISE_BLOCK", 1)          # S = 1
+        for a, b in zip(blocked, runs()):
+            assert np.array_equal(a, b)
+
+    def test_a_raise_leaves_no_worker_thread(self):
+        # the rate turns negative two steps into the second block, while the
+        # worker has the third in hand: the worker is joined before the raise
+        S = sde_sim._NOISE_BLOCK // self.N
+        step = 1e-2
+        base = named_model("ou-linear", 0.5)
+        m = replace(base, jumps=JumpSpec(
+            intensity=1.0, atoms=[(1.0, 1.0)],
+            obs_rate=lambda t, x, w: np.full_like(np.asanyarray(x, dtype=float),
+                                                  1.0 if t < (S + 1.5) * step else -1.0)))
+        T = unit_slope_inverse(3 * S * step, step)
+        obs = ObservationRecord(times=T.times, values=np.zeros(len(T.times)))
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="nonnegative"):
+            fractional_filter_jump_obs(m, T, obs, lambda x: x, self.N, seed=55)
+        assert threading.active_count() == before

@@ -134,6 +134,14 @@ class TestInversion:
         with pytest.raises(ValueError, match="resample"):
             invert_path(D, np.linspace(0.0, 2.0, 21))
 
+    def test_error_on_non_uniform_grid(self):
+        # the test is relative: steps of 1e-9 and 2e-9 sit inside an absolute 1e-8
+        times = 0.01 * np.arange(101)
+        D = SubordinatorPath(beta=0.5, times=times, values=times.copy())
+        for scale in (1e-2, 1e-9):
+            with pytest.raises(ValueError, match="uniform"):
+                invert_path(D, scale * np.array([0.0, 1.0, 3.0, 4.0]))
+
     def test_error_on_one_node_grid(self):
         times = 0.01 * np.arange(101)
         D = SubordinatorPath(beta=0.5, times=times, values=times.copy())

@@ -72,14 +72,16 @@ class TestFrontDoor:
     """solve_zakai refuses what solve_fractional_zakai refuses."""
 
     def test_non_uniform_record_refused_by_both_solvers(self):
-        t = np.array([0.0, 0.01, 0.03, 0.04])
-        obs = ObservationRecord(times=t, values=np.zeros(4))
+        # the test is relative: steps of 1e-9 and 2e-9 sit inside an absolute 1e-8
         model = named_model("ou-linear", 0.5)
         grid = SpatialGrid(-8.0, 8.0, 64)
-        with pytest.raises(ValueError, match="uniform real-time grid"):
-            solve_zakai(model, grid, obs)
-        with pytest.raises(ValueError, match="uniform real-time grid"):
-            solve_fractional_zakai(model, grid, InversePath(times=t, values=t), obs)
+        for scale in (1e-2, 1e-9):
+            t = scale * np.array([0.0, 1.0, 3.0, 4.0])
+            obs = ObservationRecord(times=t, values=np.zeros(4))
+            with pytest.raises(ValueError, match="uniform real-time grid"):
+                solve_zakai(model, grid, obs)
+            with pytest.raises(ValueError, match="uniform real-time grid"):
+                solve_fractional_zakai(model, grid, InversePath(times=t, values=t), obs)
 
     def test_step_limit_covers_classical_solves(self, monkeypatch):
         monkeypatch.setattr(zakai_fractional, "_MAX_STEPS", 100)
