@@ -25,7 +25,7 @@ import numpy as np
 from .models import ModelSpec
 from .sde_sim import (ObservationRecord, StatePath, _euler_maruyama, _uniform_times,
                       _weighted_particles)
-from .subordinator import InversePath, _rng
+from .subordinator import InversePath, _check_two_nodes, _rng
 
 __all__ = [
     "simulate_jump_state",
@@ -144,6 +144,7 @@ def fractional_filter_jump_obs(
     mean and standard error are reported.  A record with events and no live
     observation-jump channel raises, and so does a state-jump channel that fires.
     """
+    _check_two_nodes(T.times, "the clock's real-time grid")
     if not np.array_equal(obs.times, T.times):
         raise ValueError("the observation record must live on the clock's real-time grid T.times")
     post, _, ess, log_mean_w, residuals = _weighted_particles(

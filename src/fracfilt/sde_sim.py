@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import ModelSpec
-from .subordinator import InversePath, _is_uniform, _rng
+from .subordinator import InversePath, _check_two_nodes, _is_uniform, _rng
 
 __all__ = [
     "StatePath",
@@ -404,9 +404,11 @@ def kallianpur_striebel_estimate(model: ModelSpec, observed: ObservationRecord, 
     identity clock T_t = t, against the GIVEN record: marked-event terms
     included when the model's observation-jump channel has intensity > 0, and
     a state-jump channel that fires rejected.  The record must live on a
-    uniform time grid.  Weight collapse (ESS < 2) is flagged, not fatal.
+    uniform time grid of two or more nodes.  Weight collapse (ESS < 2) is
+    flagged, not fatal.
     """
     M = len(observed.times) - 1
+    _check_two_nodes(observed.times, "the observation record")
     if not _is_uniform(observed.times):
         raise ValueError("the Kallianpur-Striebel estimate needs a record on a uniform time grid")
     est, sd, ess, _, _ = _weighted_particles(model, observed, np.full(M, observed.step), f,

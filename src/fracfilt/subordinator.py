@@ -75,6 +75,11 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
+def _check_two_nodes(grid: np.ndarray, what: str) -> None:
+    if np.size(grid) < 2:
+        raise ValueError(f"{what} needs at least two nodes, got {np.size(grid)}")
+
+
 def _is_uniform(grid: np.ndarray) -> bool:
     """Whether every step of a grid of two or more nodes equals the first to a
     relative 1e-5; relative only, since an absolute tolerance passes any grid
@@ -224,8 +229,7 @@ def invert_path(path: SubordinatorPath, real_time_grid: np.ndarray) -> InversePa
     not reach the requested real-time horizon (resample with a longer horizon).
     """
     grid = np.asarray(real_time_grid, dtype=float)
-    if grid.size < 2:
-        raise ValueError(f"real_time_grid needs at least two nodes, got {grid.size}")
+    _check_two_nodes(grid, "real_time_grid")
     d = np.diff(grid)
     if grid[0] != 0.0 or np.any(d <= 0):
         raise ValueError("real_time_grid must increase from 0")

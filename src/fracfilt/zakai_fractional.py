@@ -22,11 +22,14 @@ Two discretizations of the same filtering object are provided, selected by the
     integral J^beta of the stored A* Phi history (product-trapezoidal weights,
     fully explicit with the endpoint sample extrapolated), and the observation
     term is the accumulated left-point sum of h Phi dV.  The weights depend
-    on the lag only and are built once.  The history stored before a block
-    of _HISTORY_BLOCK steps enters the block by one FFT convolution per node
-    (fraccalc._lag_convolution, as in fractional_integral), and each step
-    adds only the rows of its own block, so M steps on n nodes cost
-    O((M/B) M log M n + M B n) rather than O(M^2 n).  With h = 0 this
+    on the lag only and are built once, scaled by 1/Gamma(beta), with the
+    extrapolated endpoint's weight folded into lag 0.  The history stored
+    before a block of _HISTORY_BLOCK steps enters the block by one FFT
+    convolution per node (fraccalc._lag_convolution, as in
+    fractional_integral), together with the terms no step changes, and each
+    step adds only the rows of its own block, so M steps on n nodes cost
+    O((M/B) M log M n + M B n) rather than O(M^2 n).  With h = 0 the
+    observation sum is exactly zero and is skipped, and this
     marches the time-fractional Fokker-Planck equation, whose solution is the
     g-weighted subordination average of the classical flow; it is the beta -> 1
     classical-limit surrogate.  Explicit stepping imposes the restriction
@@ -54,8 +57,8 @@ from scipy.special import gamma as _gamma
 from .fraccalc import _lag_convolution, trapezoid_weights
 from .models import ModelSpec, SpatialGrid, adjoint_diagonals, adjoint_matrix, jump_generator_matrix
 from .sde_sim import ObservationRecord, _uniform_times
-from .subordinator import (InversePath, _is_uniform, inverse_density_grid, tail_bound, tau_cutoff,
-                           unit_slope_inverse)
+from .subordinator import (InversePath, _check_two_nodes, _is_uniform, inverse_density_grid,
+                           tail_bound, tau_cutoff, unit_slope_inverse)
 
 __all__ = [
     "FilterDensityGrid",
@@ -151,12 +154,13 @@ def solve_fractional_zakai(
     obs_operational is the classical observation Z on the operational grid; the
     driving increments are dV_k = Z(T(t_{k+1})) - Z(T(t_k)), always interpolated
     from the given record (never resampled).  See the module docstring for the
-    two memory semantics.  Raises when Z does not cover max(T), when the
-    history would exceed _MAX_STEPS, or (kernel mode) when the time step
-    violates the explicit stability bound.
+    two memory semantics.  Raises when T has fewer than two nodes, when Z does
+    not cover max(T), when the history would exceed _MAX_STEPS, or (kernel
+    mode) when the time step violates the explicit stability bound.
     """
     model.validate_on_grid(grid)
     times = T.times
+    _check_two_nodes(times, "the clock's real-time grid")
     if not _is_uniform(times):
         raise ValueError("the clock must live on a uniform real-time grid")
     if float(np.max(T.values)) > obs_operational.times[-1] + 1e-12:
@@ -193,16 +197,19 @@ def _solve_clock(model, grid, T, obs):
     2 (I - d/2 A)^-1 (u + d/2 A_J u) - u, which is (I - d/2 A)^-1 (I + d/2 A) u
     plus the explicit step of the bounded state-jump operator A_J, and then
     multiplies by exp(h dV - 0.5 |h|^2 d).  A is the tridiagonal stencil of
-    adjoint_diagonals, and each chunk is one LAPACK dgtsv call.  The
-    observation factors and the diagonals of I - d/2 A are computed for
-    _CHUNK_BLOCK chunks at a time, so the working memory does not grow with
-    the number of chunks.  Negative undershoots are clamped to zero after each
-    real-time step.
+    adjoint_diagonals, and each chunk is one LAPACK dgtsv call on the halved
+    system (I - d/2 A) / 2: halving is exact in floating point, so the call
+    returns 2 (I - d/2 A)^-1 rhs with no further scaling.  When h = 0 every
+    factor is exactly 1 and none is computed or applied.  The observation
+    factors and the diagonals are computed for _CHUNK_BLOCK chunks at a time,
+    so the working memory does not grow with the number of chunks.  Negative
+    undershoots are clamped to zero after each real-time step.
     """
     x = grid.nodes
     n = grid.n_nodes
     h = model.h_matrix(x)
     hsq = 0.5 * np.sum(h * h, axis=1)
+    observed = bool(np.any(h))
 
     lower, main, upper = adjoint_diagonals(model, grid)
     has_jumps = model.jumps is not None and model.jumps.state_jump_map is not None \
@@ -225,14 +232,16 @@ def _solve_clock(model, grid, T, obs):
     dV = np.diff(obs.at(edges), axis=0).reshape(delta.size, -1)
 
     def block(c):
-        """Observation factors and the diagonals of I - d/2 A for chunks
-        c:c + _CHUNK_BLOCK, one row per chunk."""
+        """Observation factors (None when h = 0) and the diagonals of
+        (I - d/2 A) / 2 for chunks c:c + _CHUNK_BLOCK, one row per chunk."""
         d = delta[c:c + _CHUNK_BLOCK, None]
-        factor = dV[c:c + _CHUNK_BLOCK] @ h.T
-        factor -= hsq * d
-        np.exp(factor, out=factor)
-        s = 0.5 * d                          # 0.0 - x keeps +0.0 where A has a zero entry
-        return factor, 0.0 - s * lower, 1.0 - s * main, 0.0 - s * upper
+        factor = None
+        if observed:
+            factor = dV[c:c + _CHUNK_BLOCK] @ h.T
+            factor -= hsq * d
+            np.exp(factor, out=factor)
+        s = 0.25 * d                         # 0.0 - x keeps +0.0 where A has a zero entry
+        return factor, 0.0 - s * lower, 0.5 - s * main, 0.0 - s * upper
 
     u = np.maximum(np.asarray(model.p0(x), dtype=float), 0.0)
     Phi = np.empty((len(T.times), n))
@@ -246,12 +255,12 @@ def _solve_clock(model, grid, T, obs):
                 factor, dl, dd, du = block(c)
             rhs = u + (0.5 * delta[c]) * (A_jump @ u) if has_jumps else u
             v = solve_banded(dl[i], dd[i], du[i], rhs)
-            v *= 2.0
             v -= u
-            v *= factor[i]
+            if observed:
+                v *= factor[i]
             u = v
-        neg = u < 0.0
-        if neg.any():
+        if u.min() < 0.0:
+            neg = u < 0.0
             clamped += float(-u[neg].sum() * grid.spacing)
             u[neg] = 0.0
         Phi[k + 1] = u
@@ -263,17 +272,22 @@ def _solve_kernel(model, grid, T, obs):
 
     Phi_{k+1} = p0 + J^beta[A* Phi](t_{k+1}) + sum_{i <= k} (h dV_i) Phi_i, with
     the unknown endpoint sample A* Phi_{k+1} extrapolated by A* Phi_k.  In
-    Gamma(beta) J^beta the stored samples hist[j] = A* Phi_j carry weights
-    from the arrays P, Q of trapezoid_weights: Q[k] on hist[0], the lag weight
-    c[k - j] = Q[k - j] + P[k - j + 1] on hist[j] for 0 < j <= k, and P[0]
-    more on hist[k] for the extrapolated endpoint.  The lag weights are built
-    once, with no per-step weight array.  For each block of B = _HISTORY_BLOCK
-    steps [K, E), the part of the sum over hist[1:K] is one FFT convolution
-    per node (fraccalc._lag_convolution, shared with fractional_integral),
-    written into the block's rows of Phi; each step then adds the rows of its
-    own block with one dot.  A solve of M steps on n nodes costs
-    O((M/B) M log M n + M B n) instead of O(M^2 n), and needs O(M) working
-    memory beyond Phi and hist.
+    J^beta the stored samples hist[j] = A* Phi_j carry weights from the
+    arrays P, Q of trapezoid_weights, divided by Gamma(beta) once: Q[k] on
+    hist[0], the lag weight c[k - j] = Q[k - j] + P[k - j + 1] on hist[j] for
+    0 < j <= k, and P[0] more on hist[k] for the extrapolated endpoint.  That
+    P[0] is folded into the lag-0 weight c[0], except at step 0, whose
+    endpoint is hist[0].  The lag weights are built once, with no per-step
+    weight array.  For each block of B = _HISTORY_BLOCK steps [K, E), the part
+    of the sum over hist[1:K] is one FFT convolution per node
+    (fraccalc._lag_convolution, shared with fractional_integral), written
+    into the block's rows of Phi, and the terms that no step changes,
+    Q[k] hist[0] + p0, are added to those rows in slabs.  A step then computes
+    only what depends on Phi_k: hist[k], the dot over its own block's rows,
+    the observation sum (skipped when h = 0, where it is exactly zero) and a
+    clamp that runs when the minimum is negative.  A solve of M steps on n
+    nodes costs O((M/B) M log M n + M B n) instead of O(M^2 n), and needs
+    O(M) working memory beyond Phi and hist.
     """
     beta = model.beta
     times = T.times
@@ -289,18 +303,25 @@ def _solve_kernel(model, grid, T, obs):
     x = grid.nodes
     n = grid.n_nodes
     h = model.h_matrix(x)
+    observed = bool(np.any(h))
     dV = np.diff(obs.at(T.values), axis=0).reshape(M, -1)
 
     P, Q = trapezoid_weights(beta, M, dt)
-    # lag weights c[0..M - 2], and reversed: c[k - j] for j = J..k is c_rev[M - 2 - k + J:]
-    c = Q[:-1] + P[1:]
-    c_rev = c[::-1].copy()
     gamma_beta = _gamma(beta)
+    P /= gamma_beta
+    Q /= gamma_beta
+    # lag weights c[0..M - 2] stored reversed: c[k - j] for j = J..k is
+    # c_rev[M - 2 - k + J:], and c = c_rev[::-1] is the view the convolution
+    # reads; lag 0 also carries the extrapolated endpoint's P[0]
+    c_rev = (Q[:-1] + P[1:])[::-1].copy()
+    c_rev[-1:] += P[0]                         # a slice: c is empty when M = 1
+    c = c_rev[::-1]
     p0 = np.maximum(np.asarray(model.p0(x), dtype=float), 0.0)
 
     Phi = np.empty((M + 1, n))
     Phi[0] = p0
     hist = np.empty((M, n))                    # hist[j] = A* Phi(t_j)
+    hist[0] = A @ p0
     obs_acc = np.zeros(n)
     clamped = 0.0
     for K in range(0, M, _HISTORY_BLOCK):
@@ -309,18 +330,25 @@ def _solve_kernel(model, grid, T, obs):
         # lags k - j run over 1..E - 2, so c[1:E - 1] against hist[1:K] gives
         # the steps k in [K, E) as rows K - 2..E - 3 of that convolution
         _lag_convolution(c[1:E - 1], hist[1:K], K - 2, E - 2, out=Phi[K + 1:E + 1])
+        # the terms no step changes, Q[k] hist[0] + p0, in slabs of rows that
+        # keep the temporary small
+        for r in range(K, E, 64):
+            s = min(r + 64, E)
+            rows = Phi[r + 1:s + 1]
+            rows += Q[r:s, None] * hist[0]
+            rows += p0
+        if K == 0:
+            Phi[1] += P[0] * hist[0]           # step 0's extrapolated endpoint
         J = max(K, 1)
         for k in range(K, E):
             hist[k] = A @ Phi[k]
             u = Phi[k + 1]
             u += c_rev[M - 2 - k + J:] @ hist[J:k + 1]
-            u += Q[k] * hist[0] + P[0] * hist[k]
-            u /= gamma_beta
-            u += p0
-            obs_acc += np.dot(h, dV[k]) * Phi[k]
-            u += obs_acc
-            neg = u < 0.0
-            if neg.any():
+            if observed:
+                obs_acc += np.dot(h, dV[k]) * Phi[k]
+                u += obs_acc
+            if u.min() < 0.0:
+                neg = u < 0.0
                 clamped += float(-u[neg].sum() * grid.spacing)
                 u[neg] = 0.0
     return FilterDensityGrid(grid=grid, times=times.copy(), values=Phi, clamped_mass=clamped)

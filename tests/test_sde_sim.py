@@ -376,6 +376,12 @@ class TestKallianpurStriebel:
             with pytest.raises(ValueError, match="uniform"):
                 kallianpur_striebel_estimate(m, obs, lambda x: x, 100, seed=39)
 
+    def test_one_node_record_raises(self):
+        obs = ObservationRecord(times=np.array([0.0]), values=np.zeros(1))
+        with pytest.raises(ValueError, match="at least two nodes"):
+            kallianpur_striebel_estimate(named_model("ou-linear", 0.5), obs, lambda x: x, 100,
+                                         seed=39)
+
     def test_prefix_run_reproduces_the_full_run(self):
         # one sequential noise stream, drawn a block of S steps ahead: the estimate
         # is online, so a run on the first k steps gives the first k + 1 outputs of

@@ -127,6 +127,23 @@ class TestClockMode:
         assert len(calls) == 41 + 8 * 5 + 8 * 5 + 1
         assert np.max(np.abs(Phi.values[:-1] - rows)) < 1e-12 * scale
 
+    @pytest.mark.parametrize("h_zero", [False, True])
+    def test_one_chunk_is_the_dense_crank_nicolson_map(self, h_zero):
+        # one real-time step of 0.015 < _DTAU_MAX on a zero record: one chunk,
+        # (I - d/2 A)^-1 (I + d/2 A) p0 times exp(-0.5 |h|^2 d), which is 1 when
+        # h = 0 and the factor loop does not run
+        model = relaxing_ou(0.5, h_zero=h_zero)
+        d = 0.015
+        T = InversePath(times=np.array([0.0, 1.0]), values=np.array([0.0, d]))
+        Phi = solve_fractional_zakai(model, GRID, T, zero_obs(0.02, 0.01))
+        A = adjoint_matrix(model, GRID).toarray()
+        eye = np.eye(GRID.n_nodes)
+        p0 = model.p0(GRID.nodes)
+        h = model.h_matrix(GRID.nodes)
+        ref = np.linalg.solve(eye - 0.5 * d * A, (eye + 0.5 * d * A) @ p0)
+        ref *= np.exp(-0.5 * d * np.sum(h * h, axis=1))
+        assert np.max(np.abs(Phi.values[1] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_plateau_dormancy(self):
         model = relaxing_ou()
         step = 1e-2
@@ -287,10 +304,13 @@ class TestKernelHistory:
     """The blocked FFT history against the direct per-step sum."""
 
     B = zf._HISTORY_BLOCK
+    STEPS = [1, 2, 3, B - 1, B, B + 1, 2 * B + 3]
 
-    @pytest.mark.parametrize("M", [B - 1, B, B + 1, 2 * B + 3])
-    def test_matches_direct_history(self, M):
-        model = relaxing_ou(0.5)                 # h(x) = x: the observation sum runs
+    @pytest.mark.parametrize("M, h_zero", [(M, False) for M in STEPS] + [(M, True) for M in STEPS],
+                             ids=[str(M) for M in STEPS] + [f"{M}-h0" for M in STEPS])
+    def test_matches_direct_history(self, M, h_zero):
+        # h(x) = x runs the observation sum, h = 0 skips it; M = 1 has no lag weights
+        model = relaxing_ou(0.5, h_zero=h_zero)
         T, obs = kernel_inputs(model, GRID, M, 1.0, seed=M)
         ref, _ = direct_kernel_solve(model, GRID, T, obs)
         Phi = solve_fractional_zakai(model, GRID, T, obs, memory="kernel")
@@ -305,6 +325,15 @@ class TestKernelHistory:
         assert clamped > 1.0
         assert Phi.clamped_mass == pytest.approx(clamped, rel=1e-12)
         assert np.max(np.abs(Phi.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_zero_record_skips_nothing_but_zeros(self):
+        # on a zero record the observation sum of h(x) = x adds exact zeros, so
+        # the h = 0 twin, which skips that sum, gives the same bits
+        M = 2 * self.B + 3
+        T, obs = kernel_inputs(relaxing_ou(0.5), GRID, M, 0.0, seed=5)
+        observed = solve_fractional_zakai(relaxing_ou(0.5), GRID, T, obs, memory="kernel")
+        free = solve_fractional_zakai(relaxing_ou(0.5, h_zero=True), GRID, T, obs, memory="kernel")
+        assert np.array_equal(observed.values, free.values)
 
     def test_many_small_blocks(self, monkeypatch):
         monkeypatch.setattr(zf, "_HISTORY_BLOCK", 7)
@@ -349,6 +378,12 @@ class TestErrors:
         _, Z = simulate_classical_pair(m, 0.07, 0.01, seed=5)
         Phi = solve_fractional_zakai(m, GRID, unit_slope_inverse(0.07, 0.01), Z)
         assert np.array_equal(Phi.values, solve_zakai(m, GRID, Z).values)
+
+    @pytest.mark.parametrize("memory", ["clock", "kernel"])
+    def test_one_node_clock_raises(self, memory):
+        T = InversePath(times=np.array([0.0]), values=np.array([0.0]))
+        with pytest.raises(ValueError, match="at least two nodes"):
+            solve_fractional_zakai(relaxing_ou(), GRID, T, zero_obs(1.0, 1e-2), memory=memory)
 
     def test_history_buffer_guard(self, monkeypatch):
         import fracfilt.zakai_fractional as zf
