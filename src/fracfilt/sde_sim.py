@@ -27,7 +27,7 @@ would give.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,10 +142,10 @@ def _uniform_times(horizon: float, step: float) -> np.ndarray:
 
 
 def _euler_maruyama(model: ModelSpec, dT: np.ndarray, rng: np.random.Generator,
-                    n_paths: int = 1, x0: np.ndarray | None = None, jumps=None):
+                    n_paths: int = 1, jumps=None):
     """The one Euler-Maruyama loop of dX = b(X) dT + sigma(X) dB_T, n_paths at once.
 
-    Draws x0 from p0 (unless given), then one (n_paths, M) block xi of normals
+    Draws x0 from p0, then one (n_paths, M) block xi of normals
     from rng, and steps X_{k+1} = X_k + b(X_k) dT_k + sigma(X_k) dB_k with
     dB = sqrt(dT) xi.  jumps = (times, ((s, w), ...), jump_rng) splits a single
     path's step (times[k], times[k+1]] at the state-jump epochs s inside it:
@@ -154,7 +154,7 @@ def _euler_maruyama(model: ModelSpec, dT: np.ndarray, rng: np.random.Generator,
     """
     M = len(dT)
     X = np.empty((n_paths, M + 1))
-    X[:, 0] = _x0_sampler(model, rng, n_paths) if x0 is None else x0
+    X[:, 0] = _x0_sampler(model, rng, n_paths)
     dB = np.sqrt(dT) * rng.standard_normal((n_paths, M))
     times, epochs, jump_rng = jumps or (None, [], None)
     # the epochs in (times[k], times[k + 1]] are epochs[cut[k]:cut[k + 1]]
@@ -185,7 +185,6 @@ def simulate_classical_ensemble(
     step: float,
     seed,
     n_paths: int,
-    x0: np.ndarray | None = None,
 ):
     """Euler-Maruyama ensemble: Y (n_paths, M+1) and Z = int h(Y) dt + W (n_paths, M+1, m).
 
@@ -195,7 +194,7 @@ def simulate_classical_ensemble(
     times = _uniform_times(horizon, step)
     M = len(times) - 1
     rng = _rng(seed)
-    Y, _ = _euler_maruyama(model, np.full(M, step), rng, n_paths, x0)
+    Y, _ = _euler_maruyama(model, np.full(M, step), rng, n_paths)
     m_obs = model.h_matrix(np.zeros(1)).shape[1]
     dW = np.sqrt(step) * rng.standard_normal((n_paths, M, m_obs))
     Z = np.zeros((n_paths, M + 1, m_obs))
@@ -254,7 +253,7 @@ class KSEstimate:
     values: np.ndarray
     ess: np.ndarray                       # effective sample size per step
     weight_collapse: bool                 # flagged when min ESS < 2
-    posterior_sd: np.ndarray = field(default=None)
+    posterior_sd: np.ndarray              # delta-method standard error of values
 
 
 def _weighted_particles(model: ModelSpec, record: ObservationRecord, dT, f, n_particles: int,
@@ -327,7 +326,7 @@ def _weighted_particles(model: ModelSpec, record: ObservationRecord, dT, f, n_pa
     rhs = [np.array(g(y), dtype=float) for g, _, _ in test_functions]
     qv_var = np.zeros(len(test_functions))
 
-    def record(k, y, logw):
+    def summarize(k, y, logw):
         top = logw.max()
         w = np.exp(logw - top)
         wsum = w.sum()
@@ -339,7 +338,7 @@ def _weighted_particles(model: ModelSpec, record: ObservationRecord, dT, f, n_pa
         ess[k] = float(wsum ** 2 / np.sum(w ** 2))
         log_mean_w[k] = top + np.log(wsum / n_particles)
 
-    record(0, y, logw)
+    summarize(0, y, logw)
     S = max(1, _NOISE_BLOCK // n_particles)
 
     def draw(k):
@@ -385,7 +384,7 @@ def _weighted_particles(model: ModelSpec, record: ObservationRecord, dT, f, n_pa
                     for r, gl in zip(rhs, gL):
                         r += (lam - 1.0) * gl
             y = y + b * dT[k] + s * np.sqrt(dT[k]) * noise[k % S]
-            record(k + 1, y, logw)
+            summarize(k + 1, y, logw)
 
     residuals = []
     for (g, _, _), r, qv in zip(test_functions, rhs, qv_var):

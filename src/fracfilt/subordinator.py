@@ -328,28 +328,24 @@ def _chebyshev_table(beta: float) -> tuple[float, float, np.ndarray] | None:
 def _zolotarev_integral(y: np.ndarray, beta: float) -> np.ndarray:
     """I(y) from the Chebyshev table of its beta, by a Clenshaw sum per point.
 
-    Points below the table's range, and every point of a beta whose table was
-    refused, go to _zolotarev_quadrature.  Each Clenshaw step gathers one
-    coefficient per point, so no temporary is larger than y.
+    Callers pass y on the integral branch: from the series switch,
+    y = 0.7**(1/(1-beta)), to the underflow point a0 y = _LOG_TINY, which is
+    the table's range up to rounding; a point that rounds just outside it is
+    read on the end panel.  Every point of a beta whose table was refused goes
+    to _zolotarev_quadrature.  Each Clenshaw step gathers one coefficient per
+    point, so no temporary is larger than y.
     """
     table = _chebyshev_table(beta)
     if table is None:
         return _zolotarev_quadrature(y, beta)
     lo, width, coef = table
-    s = (np.log(y) - lo) / width
-    out = np.empty_like(y)
-    below = s < 0.0
-    if below.any():
-        out[below] = _zolotarev_quadrature(y[below], beta)
-        s = s[~below]
-    # the top point a0 y = _LOG_TINY may round just past the last panel
+    s = np.maximum((np.log(y) - lo) / width, 0.0)
     p = np.minimum(s.astype(np.intp), _CHEB_PANELS - 1)
     x2 = 4.0 * (s - p) - 2.0
     b1 = b2 = 0.0
     for c in coef[:0:-1]:
         b1, b2 = c.take(p) + x2 * b1 - b2, b1
-    out[~below] = np.exp(coef[0].take(p) + 0.5 * x2 * b1 - b2)
-    return out
+    return np.exp(coef[0].take(p) + 0.5 * x2 * b1 - b2)
 
 
 def _stable_density_integral(u: np.ndarray, beta: float) -> np.ndarray:

@@ -32,16 +32,24 @@ class TestExpressionGrammar:
         assert out.shape == (5,)
         assert np.all(out == 1.5)
 
-    @pytest.mark.parametrize("bad", [
-        "x ** 2",            # power operator not in the grammar
-        "cos(x)",            # function not whitelisted
-        "__import__('os')",
-        "y + 1",             # unknown name
-        "x; x",              # not an expression
-        "tanh(x, 2)",        # arity
-    ])
-    def test_rejections(self, bad):
-        with pytest.raises(ValueError):
+    REJECTIONS = [
+        ("x ** 2", "operator Pow"),          # power operator not in the grammar
+        ("cos(x)", "only tanh/exp/sin"),     # function not whitelisted
+        ("__import__('os')", "only tanh/exp/sin"),
+        ("y + 1", "unknown name 'y'"),
+        ("x; x", "bad expression"),          # not an expression
+        ("tanh(x, 2)", "exactly one argument"),
+        ("not x", "unary Not"),
+        ("~x", "unary Invert"),
+        ("'a' + x", "only numeric literals"),
+        ("1j * x", "only numeric literals"),
+        ("x[0]", "construct Subscript"),
+        ("x if x else 1", "construct IfExp"),
+    ]
+
+    @pytest.mark.parametrize("bad,match", REJECTIONS, ids=[bad for bad, _ in REJECTIONS])
+    def test_rejections(self, bad, match):
+        with pytest.raises(ValueError, match=match):
             compile_expression(bad)
 
 
@@ -62,6 +70,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config("run = density\nbeta = 1.5\n")
         assert any("line 2" in p and "(0, 1)" in p for p in err.value.problems)
+
+    def test_line_without_equals_sign(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("beta = 0.5\nseed 7\n")
+        assert err.value.problems == ["line 2: expected key = value, got 'seed 7'"]
 
     def test_duplicate_key_reports_both_lines(self):
         with pytest.raises(ConfigError) as err:

@@ -137,6 +137,11 @@ def test_domain_validation():
         GridFunction(step=0.1, values=np.array([1.0, np.nan]))
 
 
+def test_one_node_integral_is_zero():
+    out = fractional_integral(GridFunction(step=STEP, values=np.array([3.0])), 0.5)
+    assert np.array_equal(out.values, [0.0]) and out.step == STEP
+
+
 def test_integral_starts_at_zero():
     out = J(np.cos(T), 0.7)
     assert out[0] == 0.0

@@ -206,33 +206,6 @@ class TestJumpObservationLikelihood:
                                                   np.ones_like, 100, seed=61)
         assert res.unnormalized[-1] == pytest.approx(2.0 * np.exp(-1.0), rel=1e-12, abs=0.0)
 
-    def test_martingale_mean_small(self):
-        # quick version; the acceptance suite runs the 1e5-path variant
-        m = named_model("jump-poisson", 0.5)
-        rng = np.random.Generator(np.random.Philox(key=66))
-        n, steps = 20_000, 100
-        dt = 1.0 / steps
-        xs = np.empty((n, steps + 1))
-        xs[:, 0] = rng.normal(0.0, 1.0, n)
-        for k in range(steps):
-            xs[:, k + 1] = xs[:, k] - xs[:, k] * dt + np.sqrt(2.0 * dt) * rng.standard_normal(n)
-        logw = np.zeros(n)
-        for w_mark, p in m.jumps.atoms:
-            lam = 1.0 + 0.5 * w_mark * np.tanh(xs[:, :-1])
-            logw += m.jumps.intensity * p * (1.0 - lam).sum(axis=1) * dt
-        counts = rng.poisson(m.jumps.intensity, n)
-        for _ in range(int(counts.max())):
-            alive = counts > 0
-            tev = rng.uniform(0.0, 1.0, n)
-            marks = rng.choice(m.jumps.marks, size=n, p=m.jumps.probabilities)
-            idx = np.minimum((tev / dt).astype(int), steps - 1)
-            lam_ev = 1.0 + 0.5 * marks * np.tanh(xs[np.arange(n), idx])
-            logw += np.where(alive, np.log(lam_ev), 0.0)
-            counts -= alive.astype(int)
-        w = np.exp(logw)
-        se = w.std(ddof=1) / np.sqrt(n)
-        assert abs(w.mean() - 1.0) < 3.0 * se
-
 
 class TestJumpObservationFilter:
     def setup_single_run(self, seed=70):
@@ -286,6 +259,32 @@ class TestJumpObservationFilter:
         r = res.residuals[0]
         assert abs(r["residual"]) <= 3.0 * r["se"]
 
+    def test_simulation_refusals(self):
+        jm = named_model("jump-poisson", 0.5)
+        T = unit_slope_inverse(1.0, 1e-2)
+        X = simulate_time_changed_state_direct(jm, T, seed=5)
+        two_channels = replace(jm, observation=lambda x: np.column_stack([x, x]))
+        negative = replace(jm, jumps=replace(jm.jumps, obs_rate=lambda t, x, w: -1.0 + 0.0 * x))
+        for m, match in [(replace(jm, jumps=None), "no observation jump specification"),
+                         (state_jump_model(), "no observation jump specification"),
+                         (two_channels, "scalar-continuous-part only"),
+                         (negative, "must be nonnegative")]:
+            with pytest.raises(ValueError, match=match):
+                levy_ext.simulate_jump_observation(m, X, T, seed=6)
+
+    def test_plateau_steps_carry_no_events(self):
+        # the clock is flat on [0.3, 0.7]: no observation time passes there
+        jm = named_model("jump-poisson", 0.5)
+        m = replace(jm, jumps=replace(jm.jumps, intensity=200.0))
+        times = np.linspace(0.0, 1.0, 101)
+        T = InversePath(times, np.minimum(times, 0.3) + np.maximum(times - 0.7, 0.0))
+        X = simulate_time_changed_state_direct(m, T, seed=7)
+        obs = levy_ext.simulate_jump_observation(m, X, T, seed=8)
+        flat = (times >= 0.3) & (times <= 0.7)
+        assert np.all(obs.values[flat] == obs.values[flat][0])
+        ts = np.array([t for t, _ in obs.events])
+        assert len(ts) > 50 and not np.any((ts > 0.3) & (ts < 0.7))
+
     def test_event_log_roundtrip(self):
         m, T, X, obs = self.setup_single_run(seed=77)
         ts = [t for t, _ in obs.events]
@@ -308,6 +307,20 @@ class TestJumpObservationFilter:
         obs = ObservationRecord(times=T.times, values=np.zeros(len(T.times)),
                                 events=((0.505, 1.0),))
         with pytest.raises(ValueError, match="log undefined"):
+            levy_ext.fractional_filter_jump_obs(m, T, obs, lambda x: x, 200, seed=78)
+
+    def test_event_at_negative_rate_raises(self):
+        # the rate is 1.5 at every node but -0.5 at the event time between two nodes
+        step = 1e-2
+        jm = named_model("jump-poisson", 0.5)
+        m = replace(jm, jumps=JumpSpec(
+            intensity=1.0, atoms=[(1.0, 1.0)],
+            obs_rate=lambda t, x, w: (0.5 + np.cos(2.0 * np.pi * t / step))
+            * np.ones_like(np.asanyarray(x, dtype=float))))
+        T = unit_slope_inverse(1.0, step)
+        obs = ObservationRecord(times=T.times, values=np.zeros(len(T.times)),
+                                events=((0.505, 1.0),))
+        with pytest.raises(ValueError, match="lam < 0 at event"):
             levy_ext.fractional_filter_jump_obs(m, T, obs, lambda x: x, 200, seed=78)
 
     def test_event_where_some_particles_have_zero_rate(self):

@@ -116,6 +116,11 @@ class TestJumps:
             + jump_generator_matrix(m, grid).T
         assert (adjoint_matrix(m, grid) != expected).nnz == 0
 
+    def test_generator_needs_a_state_jump_map(self):
+        for m in (ou_model(), named_model("jump-poisson", 0.5)):
+            with pytest.raises(ValueError, match="no state jump specification"):
+                jump_generator_matrix(m, SpatialGrid(-4.0, 4.0, 64))
+
     def test_atom_probabilities_validated(self):
         with pytest.raises(ValueError):
             JumpSpec(intensity=1.0, atoms=[(1.0, 0.7), (-1.0, 0.7)])
@@ -145,6 +150,26 @@ class TestModelSpec:
         )
         with pytest.raises(ValueError, match="integrates"):
             m.validate_on_grid(SpatialGrid(-8.0, 8.0, 256))
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("drift", lambda x: np.where(x > 1.0, np.inf, -x), "drift/sigma must be finite"),
+        ("sigma", lambda x: np.where(x > 1.0, np.inf, 1.0), "drift/sigma must be finite"),
+        ("sigma", lambda x: np.where(x > 1.0, np.nan, 1.0), "drift/sigma must be finite"),
+        ("observation", lambda x: 1.0 / np.maximum(x, 0.0), "observation function must be finite"),
+        ("p0", lambda x: gaussian_density(0.0, 1.0)(x) - 1e-3, "p0 must be nonnegative"),
+    ], ids=["drift-inf", "sigma-inf", "sigma-nan", "h-inf", "p0-negative"])
+    def test_validation_refuses_non_finite_or_negative_input(self, field, value, match):
+        fields = dict(drift=lambda x: -x, sigma=np.ones_like, observation=lambda x: x,
+                      beta=0.5, p0=gaussian_density(0.0, 1.0))
+        fields[field] = value
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match=match):
+            ModelSpec(**fields).validate_on_grid(SpatialGrid(-8.0, 8.0, 256))
+
+    def test_scalar_observation_fills_a_column(self):
+        m = ModelSpec(drift=lambda x: -x, sigma=np.ones_like, observation=lambda x: 2.0,
+                      beta=0.5, p0=gaussian_density(0.0, 1.0))
+        h = m.h_matrix(np.linspace(-1.0, 1.0, 5))
+        assert h.shape == (5, 1) and np.all(h == 2.0)
 
     def test_beta_range(self):
         with pytest.raises(ValueError):

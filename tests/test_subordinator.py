@@ -142,6 +142,13 @@ class TestInversion:
             with pytest.raises(ValueError, match="uniform"):
                 invert_path(D, scale * np.array([0.0, 1.0, 3.0, 4.0]))
 
+    @pytest.mark.parametrize("grid", [[0.1, 0.2, 0.3], [0.0, 0.2, 0.2], [0.0, 0.2, 0.1]])
+    def test_error_when_grid_does_not_increase_from_zero(self, grid):
+        times = 0.01 * np.arange(101)
+        D = SubordinatorPath(beta=0.5, times=times, values=times.copy())
+        with pytest.raises(ValueError, match="must increase from 0"):
+            invert_path(D, np.array(grid))
+
     def test_error_on_one_node_grid(self):
         times = 0.01 * np.arange(101)
         D = SubordinatorPath(beta=0.5, times=times, values=times.copy())
@@ -317,6 +324,20 @@ class TestStableDensity:
         series = subordinator._stable_density_series(u, beta)
         assert np.max(np.abs(integral / series - 1.0)) <= 1e-12
 
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8, 0.99])
+    def test_table_bottom_matches_its_quadrature(self, beta):
+        # the y of the 2,000 u just below the series switch, and the 100 y just
+        # below the table's bottom exp(lo), some of which round to log y < lo
+        lo, _, _ = subordinator._chebyshev_table(beta)
+        switch = subordinator._series_switch(beta)
+        u = switch - np.arange(1, 2001) * np.spacing(switch)
+        bottom = np.exp(lo) - np.arange(100) * np.spacing(np.exp(lo))
+        y = np.concatenate([u ** (-beta / (1.0 - beta)), bottom])
+        assert np.any(np.log(y) < lo)
+        table = subordinator._zolotarev_integral(y, beta)
+        reference = subordinator._zolotarev_quadrature(y, beta)
+        assert np.max(np.abs(table / reference - 1.0)) <= 1e-13
+
     @pytest.mark.parametrize("beta", [0.02, 0.5, 0.99])
     def test_log_a_table_strictly_increasing(self, beta):
         log_a, phi = subordinator._log_a_table(beta)
@@ -401,6 +422,16 @@ class TestLaplaceIdentity:
         assert laplace_identity_residual(0.8, 2.0, [1.0]) < 1e-4
         for beta in (0.05, 0.95):     # near both ends of (0, 1)
             assert laplace_identity_residual(beta, 1.0, [0.5, 1.0, 2.0]) < 1e-4
+
+
+    @pytest.mark.parametrize("tau,s_grid,match", [
+        (-0.1, [1.0], "tau must be nonnegative"),
+        (1.0, [1.0, 0.0], "s_grid must be positive"),
+        (1.0, [-2.0], "s_grid must be positive"),
+    ])
+    def test_refusals(self, tau, s_grid, match):
+        with pytest.raises(ValueError, match=match):
+            laplace_identity_residual(0.5, tau, s_grid)
 
 
 class TestPathTypes:

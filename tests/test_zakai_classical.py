@@ -162,6 +162,16 @@ class TestKalmanBucy:
         assert np.all(P == 0.0)
         assert np.allclose(m, 0.7, atol=1e-12)
 
+    def test_one_observation_column_only(self):
+        _, Z = simulate_classical_pair(named_model("ou-linear", 0.5), 1.0, 1e-2, seed=3)
+        flat = kalman_bucy_reference(-1.0, np.sqrt(2.0), 1.0, Z)
+        column = kalman_bucy_reference(-1.0, np.sqrt(2.0), 1.0,
+                                       ObservationRecord(Z.times, Z.values[:, None]))
+        assert np.array_equal(flat, column)
+        two = ObservationRecord(Z.times, np.column_stack([Z.values, Z.values]))
+        with pytest.raises(ValueError, match="scalar-observation only"):
+            kalman_bucy_reference(-1.0, np.sqrt(2.0), 1.0, two)
+
     def test_zakai_moments_track_reference(self):
         # short-horizon version of the linear-model oracle
         a, sig, c = -1.0, np.sqrt(2.0), 1.0
