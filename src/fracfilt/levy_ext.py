@@ -25,7 +25,7 @@ import numpy as np
 from .models import ModelSpec
 from .sde_sim import (ObservationRecord, StatePath, _euler_maruyama, _uniform_times,
                       _weighted_particles)
-from .subordinator import InversePath, _check_two_nodes, _rng
+from .subordinator import InversePath, _rng
 
 __all__ = [
     "simulate_jump_state",
@@ -137,14 +137,13 @@ def fractional_filter_jump_obs(
     Particles follow the time-changed state equation under the reference measure
     with the SHARED clock T; weights are the observation likelihoods along the
     time-changed clock, marked-event terms included when the model's
-    observation-jump channel has intensity > 0.  obs must live on T.times.
+    observation-jump channel has intensity > 0.  obs must live on T.times, whose grid T checks.
     residual_test_functions is a sequence of (f, f', f'') triples; for each,
     the filter equation is evaluated residually at the final time with every
     term estimated from the same particle cloud, and the per-particle residual
     mean and standard error are reported.  A record with events and no live
     observation-jump channel raises, and so does a state-jump channel that fires.
     """
-    _check_two_nodes(T.times, "the clock's real-time grid")
     if not np.array_equal(obs.times, T.times):
         raise ValueError("the observation record must live on the clock's real-time grid T.times")
     post, _, ess, log_mean_w, residuals = _weighted_particles(

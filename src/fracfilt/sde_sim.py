@@ -7,8 +7,9 @@ or the direct discretization dX = b(X) dT + sigma(X) dB_T.
 _euler_maruyama is the one loop of that state equation, for the classical
 ensemble, the direct time-changed simulator and levy_ext.simulate_jump_state.
 
-An ObservationRecord holds the continuous observation path and, for a model
-with an observation-jump channel, its marked events.  _weighted_particles is
+An ObservationRecord holds the continuous observation path on a uniform time
+grid, which it checks, and, for a model with an observation-jump channel, its
+marked events.  _weighted_particles is
 the one particle filter and the one implementation of the likelihood Lambda,
 marked-event terms included: each particle carries log Lambda along its own
 path.  levy_ext.fractional_filter_jump_obs runs it on any clock T, and the
@@ -19,9 +20,8 @@ All stochastic integrals are left-point (Ito) sums.  Randomness is counter-based
 Euler-Maruyama loop draws one (n_paths, M) block, so path i owns row i of each
 noise array.  The particle loop reads one sequential stream: the n_particles
 initial-state uniforms, then step k's n_particles normals for k = 0, 1, ...;
-after the initial states one worker thread draws the normals a block of steps
-ahead from that same stream, so the numbers are the ones a step-by-step draw
-would give.
+one worker thread draws the normals of later steps a block ahead from that
+same stream, so the numbers are the ones a step-by-step draw would give.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ModelSpec
-from .subordinator import InversePath, _check_two_nodes, _is_uniform, _rng
+from .subordinator import InversePath, _check_grid, _rng
 
 __all__ = [
     "StatePath",
@@ -70,6 +70,7 @@ class StatePath:
 class ObservationRecord:
     """Observation path on a uniform grid; values start at 0; shape (M+1,) or (M+1, m).
 
+    The grid needs two or more nodes and one positive step, not a start at 0.
     events are the marked jump events ((time, mark), ...) of an observation-jump
     channel in strictly increasing time inside [times[0], times[-1]]; () for a
     continuous-only observation.
@@ -80,6 +81,7 @@ class ObservationRecord:
     events: tuple = ()
 
     def __post_init__(self):
+        _check_grid(self.times, "the observation record's time grid")
         if not np.all(np.abs(np.atleast_1d(self.values[0])) == 0.0):
             raise ValueError("observation paths start at 0")
         ts = [t for t, _ in self.events]
@@ -197,9 +199,14 @@ def simulate_classical_ensemble(
     Y, _ = _euler_maruyama(model, np.full(M, step), rng, n_paths)
     m_obs = model.h_matrix(np.zeros(1)).shape[1]
     dW = np.sqrt(step) * rng.standard_normal((n_paths, M, m_obs))
+    # Z_{k+1} = (Z_k + h(Y_k) step) + dW_k: one cumsum over the interleaved
+    # pairs (h(Y_k) step, dW_k) adds in that order, and its odd entries are Z
+    pairs = np.empty((n_paths, 2 * M, m_obs))
+    pairs[:, 0::2] = model.h_matrix(Y[:, :M].ravel()).reshape(n_paths, M, m_obs) * step
+    pairs[:, 1::2] = dW
+    np.cumsum(pairs, axis=1, out=pairs)
     Z = np.zeros((n_paths, M + 1, m_obs))
-    for k in range(M):
-        Z[:, k + 1] = Z[:, k] + model.h_matrix(Y[:, k]) * step + dW[:, k]
+    Z[:, 1:] = pairs[:, 1::2]
     return times, Y, Z
 
 
@@ -289,11 +296,12 @@ def _weighted_particles(model: ModelSpec, record: ObservationRecord, dT, f, n_pa
     which is common to every particle.
 
     The noise comes from the one Philox stream, after the initial states: step
-    k takes the next n_particles normals.  A worker thread draws them a block
-    of S = max(1, _NOISE_BLOCK // n_particles) steps ahead, as (S, n_particles)
-    arrays that fill sequentially from the same stream, while this thread
-    weights the current steps; only the worker touches the stream after the
-    initial states, and it is joined before the function returns or raises.
+    k takes the next n_particles normals.  They come in (S, n_particles) blocks,
+    S = max(1, _NOISE_BLOCK // n_particles), that fill sequentially from the
+    stream.  This thread draws block 0, and a worker thread draws each later
+    block while this thread weights the one before (a pool starts its thread at
+    the first submit, so a record of one block starts none); the worker is
+    joined before the function returns or raises.
     Memory is O(n_particles) (at most two blocks alive), and a run on the first
     k steps of a record gives the first k + 1 outputs of the full run bit for bit.
 
@@ -345,11 +353,12 @@ def _weighted_particles(model: ModelSpec, record: ObservationRecord, dT, f, n_pa
         """The normals of steps k .. min(k + S, M) - 1, one row per step."""
         return rng.standard_normal((min(S, M - k), n_particles))
 
+    noise = draw(0)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = pool.submit(draw, 0)
         for k in range(M):
             if k % S == 0:
-                noise = pending.result()
+                if k:
+                    noise = pending.result()
                 if k + S < M:
                     pending = pool.submit(draw, k + S)
             h = model.h_matrix(y)
@@ -402,14 +411,10 @@ def kallianpur_striebel_estimate(model: ModelSpec, observed: ObservationRecord, 
     The weighted-particle filter of levy_ext.fractional_filter_jump_obs on the
     identity clock T_t = t, against the GIVEN record: marked-event terms
     included when the model's observation-jump channel has intensity > 0, and
-    a state-jump channel that fires rejected.  The record must live on a
-    uniform time grid of two or more nodes.  Weight collapse (ESS < 2) is
+    a state-jump channel that fires rejected.  Weight collapse (ESS < 2) is
     flagged, not fatal.
     """
     M = len(observed.times) - 1
-    _check_two_nodes(observed.times, "the observation record")
-    if not _is_uniform(observed.times):
-        raise ValueError("the Kallianpur-Striebel estimate needs a record on a uniform time grid")
     est, sd, ess, _, _ = _weighted_particles(model, observed, np.full(M, observed.step), f,
                                              n_particles, seed)
     return KSEstimate(times=observed.times, values=est, ess=ess,

@@ -75,17 +75,15 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
-def _check_two_nodes(grid: np.ndarray, what: str) -> None:
-    if np.size(grid) < 2:
-        raise ValueError(f"{what} needs at least two nodes, got {np.size(grid)}")
-
-
-def _is_uniform(grid: np.ndarray) -> bool:
-    """Whether every step of a grid of two or more nodes equals the first to a
-    relative 1e-5; relative only, since an absolute tolerance passes any grid
-    whose steps are all below it."""
-    d = np.diff(grid)
-    return bool(np.allclose(d, d[0], atol=0.0))
+def _check_grid(times: np.ndarray, what: str) -> None:
+    """Refuse fewer than two nodes, a first step that is not positive, or a step
+    more than a relative 1e-5 from the first (an absolute tolerance would pass
+    any grid whose steps are all below it)."""
+    if np.size(times) < 2:
+        raise ValueError(f"{what} needs at least two nodes, got {np.size(times)}")
+    d = np.diff(times)
+    if not (d[0] > 0.0 and np.abs(d - d[0]).max() <= 1e-5 * d[0]):
+        raise ValueError(f"{what} must be uniform with a positive step")
 
 
 def _check_time(t: float) -> None:
@@ -120,12 +118,16 @@ class SubordinatorPath:
 
 @dataclass(frozen=True)
 class InversePath:
-    """First-hitting-time inverse T on a uniform real-time grid; continuous, nondecreasing."""
+    """First-hitting-time inverse T on a uniform real-time grid from 0 (checked
+    here); continuous, nondecreasing."""
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
+        _check_grid(self.times, "the clock's real-time grid")
+        if self.times[0] != 0.0:
+            raise ValueError("the clock's real-time grid must start at 0")
         if self.values[0] != 0.0:
             raise ValueError("inverse paths start at 0")
         if np.any(np.diff(self.values) < 0.0):
@@ -190,10 +192,12 @@ def sample_standard_stable(beta: float, size, rng: np.random.Generator) -> np.nd
     beta stays finite: S = (a(U)/E)**((1-beta)/beta) with U ~ U(0, pi), E ~ Exp(1).
     """
     beta = _check_beta(beta)
-    U = rng.uniform(0.0, np.pi, size)
-    E = rng.standard_exponential(size)
-    log_a = _log_kanter_a(U, beta)
-    return np.exp(((1.0 - beta) / beta) * (log_a - np.log(E)))
+    return _cms_transform(rng.uniform(0.0, np.pi, size), rng.standard_exponential(size), beta)
+
+
+def _cms_transform(U: np.ndarray, E: np.ndarray, beta: float) -> np.ndarray:
+    """S = (a(U)/E)**((1-beta)/beta) of given U in (0, pi) and E > 0, in log space."""
+    return np.exp(((1.0 - beta) / beta) * (_log_kanter_a(U, beta) - np.log(E)))
 
 
 def sample_stable_path(beta: float, horizon: float, step: float, seed) -> SubordinatorPath:
@@ -225,25 +229,19 @@ def invert_path(path: SubordinatorPath, real_time_grid: np.ndarray) -> InversePa
     """First-hitting-time inverse T_t = min{tau : D_tau >= t} on the given grid.
 
     D is linearly interpolated between operational grid points before inversion,
-    which keeps T continuous and nondecreasing.  Raises if the sampled path does
-    not reach the requested real-time horizon (resample with a longer horizon).
+    which keeps T continuous and nondecreasing.  InversePath checks the grid;
+    raises if the sampled path does not reach the requested real-time horizon
+    (resample with a longer horizon).
     """
     grid = np.asarray(real_time_grid, dtype=float)
-    _check_two_nodes(grid, "real_time_grid")
-    d = np.diff(grid)
-    if grid[0] != 0.0 or np.any(d <= 0):
-        raise ValueError("real_time_grid must increase from 0")
-    if not _is_uniform(grid):
-        raise ValueError("real_time_grid must be uniform")
+    # D strictly increasing from 0: the inverse is interp with axes swapped, 0 at t = 0
+    T = InversePath(times=grid, values=np.interp(grid, path.values, path.times))
     if path.horizon_reached < grid[-1]:
         raise ValueError(
             f"subordinator path reaches {path.horizon_reached:.6g} < requested horizon "
             f"{grid[-1]:.6g}; resample with a longer operational horizon"
         )
-    # D strictly increasing, so the piecewise-linear inverse is interp with axes swapped
-    tvals = np.interp(grid, path.values, path.times)
-    tvals[0] = 0.0
-    return InversePath(times=grid, values=tvals)
+    return T
 
 
 def sample_inverse_path(beta: float, horizon: float, op_step: float, seed,

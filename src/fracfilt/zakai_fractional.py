@@ -54,11 +54,11 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv as _dgtsv
 from scipy.special import gamma as _gamma
 
-from .fraccalc import _lag_convolution, trapezoid_weights
+from .fraccalc import _lag_convolution, trapezoid_node_weights, trapezoid_weights
 from .models import ModelSpec, SpatialGrid, adjoint_diagonals, adjoint_matrix, jump_generator_matrix
 from .sde_sim import ObservationRecord, _uniform_times
-from .subordinator import (InversePath, _check_two_nodes, _is_uniform, inverse_density_grid,
-                           tail_bound, tau_cutoff, unit_slope_inverse)
+from .subordinator import (InversePath, inverse_density_grid, tail_bound, tau_cutoff,
+                           unit_slope_inverse)
 
 __all__ = [
     "FilterDensityGrid",
@@ -154,18 +154,14 @@ def solve_fractional_zakai(
     obs_operational is the classical observation Z on the operational grid; the
     driving increments are dV_k = Z(T(t_{k+1})) - Z(T(t_k)), always interpolated
     from the given record (never resampled).  See the module docstring for the
-    two memory semantics.  Raises when T has fewer than two nodes, when Z does
-    not cover max(T), when the history would exceed _MAX_STEPS, or (kernel
-    mode) when the time step violates the explicit stability bound.
+    two memory semantics.  T checks its own grid.  Raises when Z does not cover
+    max(T), when the history would exceed _MAX_STEPS, or (kernel mode) when
+    the time step violates the explicit stability bound.
     """
     model.validate_on_grid(grid)
-    times = T.times
-    _check_two_nodes(times, "the clock's real-time grid")
-    if not _is_uniform(times):
-        raise ValueError("the clock must live on a uniform real-time grid")
     if float(np.max(T.values)) > obs_operational.times[-1] + 1e-12:
         raise ValueError("operational observation does not cover max(T); simulate Z further")
-    M = len(times) - 1
+    M = len(T.times) - 1
     if M > _MAX_STEPS:
         raise ValueError(f"history buffer would need {M} steps (> {_MAX_STEPS})")
     if memory not in ("clock", "kernel"):
@@ -310,11 +306,12 @@ def _solve_kernel(model, grid, T, obs):
     gamma_beta = _gamma(beta)
     P /= gamma_beta
     Q /= gamma_beta
-    # lag weights c[0..M - 2] stored reversed: c[k - j] for j = J..k is
-    # c_rev[M - 2 - k + J:], and c = c_rev[::-1] is the view the convolution
-    # reads; lag 0 also carries the extrapolated endpoint's P[0]
-    c_rev = (Q[:-1] + P[1:])[::-1].copy()
-    c_rev[-1:] += P[0]                         # a slice: c is empty when M = 1
+    # lag weights c[0..M - 2], t_M's inner node weights, stored reversed: c[k - j]
+    # for j = J..k is c_rev[M - 2 - k + J:], c = c_rev[::-1] is the view the
+    # convolution reads, and lag 0 also carries the extrapolated endpoint's w_M
+    w = trapezoid_node_weights(P, Q, M)
+    c_rev = w[1:M]
+    c_rev[-1:] += w[M]                         # a slice: c is empty when M = 1
     c = c_rev[::-1]
     p0 = np.maximum(np.asarray(model.p0(x), dtype=float), 0.0)
 

@@ -252,6 +252,25 @@ class TestLikelihood:
         with pytest.raises(ValueError, match=match):
             ObservationRecord(np.linspace(0.0, 1.0, 101), values, events=events)
 
+    @pytest.mark.parametrize("times, match", [
+        ([0.0], "at least two nodes"),
+        ([], "at least two nodes"),
+        ([0.0, 0.0, 0.0], "uniform with a positive step"),
+        ([0.0, -0.1, -0.2], "uniform with a positive step"),
+        ([0.0, 0.01, 0.03, 0.04], "uniform with a positive step"),
+        ([0.0, 1e-9, 3e-9, 4e-9], "uniform with a positive step"),
+        ([0.0, 0.1, np.nan], "uniform with a positive step"),
+    ], ids=["one-node", "empty", "zero-steps", "negative-steps", "non-uniform",
+            "non-uniform-1e-9", "nan"])
+    def test_record_refuses_its_grid(self, times, match):
+        # the grid is checked before the values are read
+        with pytest.raises(ValueError, match=match):
+            ObservationRecord(np.array(times), np.zeros(len(times)))
+
+    def test_record_grid_need_not_start_at_0(self):
+        obs = ObservationRecord(0.5 + 0.01 * np.arange(11), np.zeros(11))
+        assert obs.step == pytest.approx(0.01)
+
     def test_events_on_a_silent_channel_raise(self):
         # a channel at intensity 0 cannot have produced an event: the event
         # terms would be dropped without a word
@@ -360,19 +379,31 @@ class TestKallianpurStriebel:
         assert np.max(np.abs(ks.ess - jf.ess)) < 1e-9
 
     def test_non_uniform_record_raises(self):
-        # the test is relative: steps of 1e-9 and 2e-9 sit inside an absolute 1e-8
-        m = named_model("ou-linear", 0.5)
+        # the test is relative: steps of 1e-9 and 2e-9 sit inside an absolute 1e-8;
+        # the record refuses the grid when it is built
         for scale in (1e-2, 1e-9):
-            obs = ObservationRecord(times=scale * np.array([0.0, 1.0, 3.0, 4.0]),
-                                    values=np.zeros(4))
-            with pytest.raises(ValueError, match="uniform"):
-                kallianpur_striebel_estimate(m, obs, lambda x: x, 100, seed=39)
+            with pytest.raises(ValueError, match="uniform with a positive step"):
+                ObservationRecord(times=scale * np.array([0.0, 1.0, 3.0, 4.0]),
+                                  values=np.zeros(4))
 
     def test_one_node_record_raises(self):
-        obs = ObservationRecord(times=np.array([0.0]), values=np.zeros(1))
         with pytest.raises(ValueError, match="at least two nodes"):
-            kallianpur_striebel_estimate(named_model("ou-linear", 0.5), obs, lambda x: x, 100,
-                                         seed=39)
+            ObservationRecord(times=np.array([0.0]), values=np.zeros(1))
+
+    @pytest.mark.parametrize("times", [[0.0, -0.1, -0.2], [0.0, 0.0, 0.0]],
+                             ids=["negative-steps", "zero-steps"])
+    def test_filters_cannot_be_handed_a_grid_that_does_not_increase(self, times):
+        # KS once returned a NaN posterior on negative steps, and both filters
+        # ran on zero steps; neither can be given such a record or clock now,
+        # not even as a copy of a valid one
+        m = named_model("ou-linear", 0.5)
+        t = np.array(times)
+        _, Z = simulate_classical_pair(m, 0.02, 1e-2, seed=39)
+        with pytest.raises(ValueError, match="uniform with a positive step"):
+            kallianpur_striebel_estimate(m, replace(Z, times=t), lambda x: x, 100, seed=39)
+        with pytest.raises(ValueError, match="uniform with a positive step"):
+            fractional_filter_jump_obs(m, replace(unit_clock(Z.times), times=t), Z,
+                                       lambda x: x, 100, seed=39)
 
     def test_prefix_run_reproduces_the_full_run(self):
         # one sequential noise stream, drawn a block of S steps ahead: the estimate
@@ -412,8 +443,8 @@ class TestKallianpurStriebel:
 
 
 class TestNoiseBlocks:
-    """The worker's blocks of S steps give the step-by-step stream, and no thread
-    outlives a call."""
+    """The worker's blocks of S steps give the step-by-step stream, a record of
+    one block starts no thread, and no thread outlives a call."""
 
     N = 4096                                  # S = _NOISE_BLOCK // N steps per block
 
@@ -440,6 +471,19 @@ class TestNoiseBlocks:
         monkeypatch.setattr(sde_sim, "_NOISE_BLOCK", 1)          # S = 1
         for a, b in zip(blocked, runs()):
             assert np.array_equal(a, b)
+
+    def test_a_record_of_one_block_starts_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t))[1])
+        S = sde_sim._NOISE_BLOCK // self.N
+        m = named_model("ou-linear", 0.5)
+        for M, threads in ((S, 0), (S + 1, 1)):
+            _, Z = simulate_classical_pair(m, M * 1e-2, 1e-2, seed=56)
+            assert len(Z.times) == M + 1
+            started.clear()
+            kallianpur_striebel_estimate(m, Z, lambda x: x, self.N, seed=57)
+            assert len(started) == threads
 
     def test_a_raise_leaves_no_worker_thread(self):
         # the rate turns negative two steps into the second block, while the

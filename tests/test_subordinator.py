@@ -144,9 +144,14 @@ class TestInversion:
 
     @pytest.mark.parametrize("grid", [[0.1, 0.2, 0.3], [0.0, 0.2, 0.2], [0.0, 0.2, 0.1]])
     def test_error_when_grid_does_not_increase_from_zero(self, grid):
+        # InversePath refuses the grid when it is built, and invert_path builds
+        # one before it reads the grid
         times = 0.01 * np.arange(101)
         D = SubordinatorPath(beta=0.5, times=times, values=times.copy())
-        with pytest.raises(ValueError, match="must increase from 0"):
+        match = "must start at 0" if grid[0] else "uniform with a positive step"
+        with pytest.raises(ValueError, match=match):
+            InversePath(times=np.array(grid), values=np.zeros(3))
+        with pytest.raises(ValueError, match=match):
             invert_path(D, np.array(grid))
 
     def test_error_on_one_node_grid(self):
@@ -159,17 +164,25 @@ class TestInversion:
         # E[T_1] = 1/Gamma(1.5) = 2/sqrt(pi); vectorized first-crossing of
         # sampled increment paths as the oracle for the path-based inversion.
         # step small enough that the crossing-interpolation bias (stable jumps
-        # overshoot the level) stays below the Monte-Carlo band
-        rng = np.random.Generator(np.random.Philox(key=21))
-        beta, step, nsteps = 0.5, 0.01, 900
-        inc = step ** (1.0 / beta) * sample_standard_stable(beta, (100_000, nsteps), rng)
-        D = np.cumsum(inc, axis=1)
-        assert np.all(D[:, -1] >= 1.0)
-        idx = np.argmax(D >= 1.0, axis=1)
-        rows = np.arange(len(idx))
-        d_hi = D[rows, idx]
-        d_lo = np.where(idx > 0, D[rows, np.maximum(idx - 1, 0)], 0.0)
-        tau = step * idx + step * (1.0 - d_lo) / (d_hi - d_lo)
+        # overshoot the level) stays below the Monte-Carlo band.  The increments
+        # are sample_standard_stable(beta, (n, nsteps), Philox(key=21)), drawn in
+        # row blocks with the same bits: its n uniforms take one 64-bit word
+        # each, so its exponentials start n / 4 Philox blocks of four words in
+        beta, step, n, nsteps, block = 0.5, 0.01, 100_000, 900, 4_000
+        uniforms = np.random.Generator(np.random.Philox(key=21))
+        exponentials = np.random.Generator(np.random.Philox(key=21).advance(n * nsteps // 4))
+        tau = np.empty(n)
+        rows = np.arange(block)
+        for r in range(0, n, block):
+            S = subordinator._cms_transform(uniforms.uniform(0.0, np.pi, (block, nsteps)),
+                                            exponentials.standard_exponential((block, nsteps)),
+                                            beta)
+            D = np.cumsum(step ** (1.0 / beta) * S, axis=1)
+            assert np.all(D[:, -1] >= 1.0)
+            idx = np.argmax(D >= 1.0, axis=1)
+            d_hi = D[rows, idx]
+            d_lo = np.where(idx > 0, D[rows, np.maximum(idx - 1, 0)], 0.0)
+            tau[r:r + block] = step * idx + step * (1.0 - d_lo) / (d_hi - d_lo)
         target = 2.0 / np.sqrt(np.pi)
         se = tau.std(ddof=1) / np.sqrt(len(tau))
         assert abs(tau.mean() - target) < 3.0 * se
@@ -446,6 +459,22 @@ class TestPathTypes:
             InversePath(times=np.array([0.0, 1.0]), values=np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
             InversePath(times=np.array([0.0, 1.0, 2.0]), values=np.array([0.0, 1.0, 0.5]))
+
+    @pytest.mark.parametrize("times, match", [
+        ([0.0], "at least two nodes"),
+        ([], "at least two nodes"),
+        ([0.0, 0.0, 0.0], "uniform with a positive step"),
+        ([0.0, -0.1, -0.2], "uniform with a positive step"),
+        ([0.0, 0.01, 0.03, 0.04], "uniform with a positive step"),
+        ([0.0, 1e-9, 3e-9, 4e-9], "uniform with a positive step"),
+        ([0.0, 0.1, np.nan], "uniform with a positive step"),
+        ([0.1, 0.2, 0.3], "must start at 0"),
+    ], ids=["one-node", "empty", "zero-steps", "negative-steps", "non-uniform",
+            "non-uniform-1e-9", "nan", "late-start"])
+    def test_inverse_path_refuses_its_grid(self, times, match):
+        # the grid is checked before the values are read
+        with pytest.raises(ValueError, match=match):
+            InversePath(times=np.array(times), values=np.zeros(len(times)))
 
     @pytest.mark.parametrize("horizon, step, n", [(0.07, 0.01, 7), (0.14, 0.01, 14),
                                                   (0.28, 0.02, 14), (0.075, 0.01, 8)])
