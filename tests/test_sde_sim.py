@@ -131,6 +131,24 @@ class TestOneEulerLoop:
         assert Z.values[0] == 0.0
         assert Z.values[-1] == 0.8040771393784334
 
+    @pytest.mark.parametrize("model", [
+        named_model("ou-linear", 0.5), named_model("benes-like", 0.5),
+        replace(named_model("benes-like", 0.5), observation=lambda x: np.column_stack([x, np.tanh(x)])),
+    ], ids=["ou-linear", "benes-like", "two-channels"])
+    def test_observation_is_the_step_by_step_sum(self, model):
+        # Z_{k+1} = Z_k + h(Y_k) step + dW_k in that order, bit for bit, with dW
+        # drawn after the state noise
+        n, M, step = 7, 300, 1e-2
+        times, Y, Z = simulate_classical_ensemble(model, M * step, step, seed=8, n_paths=n)
+        rng = _rng(8)
+        Y2, _ = sde_sim._euler_maruyama(model, np.full(M, step), rng, n)
+        dW = np.sqrt(step) * rng.standard_normal((n, M, Z.shape[2]))
+        ref = np.zeros_like(Z)
+        for k in range(M):
+            ref[:, k + 1] = ref[:, k] + model.h_matrix(Y[:, k]) * step + dW[:, k]
+        assert np.array_equal(Y2, Y)
+        assert np.array_equal(Z, ref)
+
     def test_direct_on_unit_clock_is_the_classical_path(self):
         # same seed, same stream order: pathwise equal up to the rounding of diff(T)
         m = named_model("ou-linear", 0.5)
