@@ -167,7 +167,7 @@ class TestInversion:
         # overshoot the level) stays below the Monte-Carlo band.  The increments
         # are sample_standard_stable(beta, (n, nsteps), Philox(key=21)), drawn in
         # row blocks with the same bits: its n uniforms take one 64-bit word
-        # each, so its exponentials start n / 4 Philox blocks of four words in
+        # each, so its exponentials start n / 4 four-word Philox blocks in
         beta, step, n, nsteps, block = 0.5, 0.01, 100_000, 900, 4_000
         uniforms = np.random.Generator(np.random.Philox(key=21))
         exponentials = np.random.Generator(np.random.Philox(key=21).advance(n * nsteps // 4))
