@@ -300,8 +300,7 @@ def criterion_8():
     """beta -> 1 limit of the fractional kernel: unit-slope clock reproduces solve_zakai.
 
     Uses the bounded-observation model (the theory's boundedness condition);
-    the kernel mode's additive observation coupling has noise error scaling
-    with sup|h|^2 sqrt(dt), so an unbounded h would need impractical steps.
+    kernel mode's exact observation factor serves an unbounded h at this step too.
     """
     beta = 0.999
     base = named_model("benes-like", beta)

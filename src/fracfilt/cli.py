@@ -198,7 +198,7 @@ def _run_jump_filter(cfg, out):
     r = res.residuals[0]
     passed = abs(r["residual"]) <= 3.0 * r["se"] + 1e-12 and not res.weight_collapse
     summary = {
-        "run": "jump-filter", "beta": cfg.beta, "particles": cfg.particles,
+        "run": "jump-filter", "model": model.name, "beta": cfg.beta, "particles": cfg.particles,
         "equation_residual": r["residual"], "residual_se": r["se"],
         "tolerance": "3 standard errors", "weight_collapse": res.weight_collapse,
         "pass": passed,

@@ -80,7 +80,7 @@ def simulate_jump_observation(
     if jumps is None or jumps.obs_rate is None:
         raise ValueError("model carries no observation jump specification")
     times = T.times
-    dT = np.diff(T.values)
+    dT = T.increments
     M = len(dT)
     rng = _rng(seed, stream=2)
     xs = X.at(times)
@@ -147,7 +147,7 @@ def fractional_filter_jump_obs(
     if not np.array_equal(obs.times, T.times):
         raise ValueError("the observation record must live on the clock's real-time grid T.times")
     post, _, ess, log_mean_w, residuals = _weighted_particles(
-        model, obs, np.diff(T.values), f, n_particles, seed, residual_test_functions)
+        model, obs, T.increments, f, n_particles, seed, residual_test_functions)
     return JumpFilterResult(
         times=T.times.copy(),
         posterior=post,

@@ -7,9 +7,9 @@ or the direct discretization dX = b(X) dT + sigma(X) dB_T.
 _euler_maruyama is the one loop of that state equation, for the classical
 ensemble, the direct time-changed simulator and levy_ext.simulate_jump_state.
 
-An ObservationRecord holds the continuous observation path on a uniform time
-grid, which it checks, and, for a model with an observation-jump channel, its
-marked events.  _weighted_particles is
+StatePath and ObservationRecord extend subordinator._SampledPath, which checks
+the uniform grid and one value row per node.  An ObservationRecord also holds,
+for a model with an observation-jump channel, its marked events.  _weighted_particles is
 the one particle filter and the one implementation of the likelihood Lambda,
 marked-event terms included: each particle carries log Lambda along its own
 path.  levy_ext.fractional_filter_jump_obs runs it on any clock T, and the
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ModelSpec
-from .subordinator import InversePath, _check_grid, _rng
+from .subordinator import InversePath, _rng, _SampledPath
 
 __all__ = [
     "StatePath",
@@ -47,41 +47,34 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class StatePath:
+class StatePath(_SampledPath):
     """State values on a time grid; jump_log holds the state jumps
     ((time, displacement), ...) in strictly increasing time, () for none."""
 
-    times: np.ndarray
-    values: np.ndarray
     jump_log: tuple = ()
 
     def __post_init__(self):
+        super().__post_init__()
         ts = [t for t, _ in self.jump_log]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("jump log times must be strictly increasing")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("state values must be finite")
 
-    def at(self, t):
-        return np.interp(t, self.times, self.values)
-
 
 @dataclass(frozen=True)
-class ObservationRecord:
+class ObservationRecord(_SampledPath):
     """Observation path on a uniform grid; values start at 0; shape (M+1,) or (M+1, m).
 
-    The grid needs two or more nodes and one positive step, not a start at 0.
-    events are the marked jump events ((time, mark), ...) of an observation-jump
-    channel in strictly increasing time inside [times[0], times[-1]]; () for a
-    continuous-only observation.
+    The grid needs no start at 0.  events are the marked jump events
+    ((time, mark), ...) of an observation-jump channel in strictly increasing
+    time inside [times[0], times[-1]]; () for a continuous-only observation.
     """
 
-    times: np.ndarray
-    values: np.ndarray
     events: tuple = ()
 
     def __post_init__(self):
-        _check_grid(self.times, "the observation record's time grid")
+        super().__post_init__()
         if not np.all(np.abs(np.atleast_1d(self.values[0])) == 0.0):
             raise ValueError("observation paths start at 0")
         ts = [t for t, _ in self.events]
@@ -89,20 +82,6 @@ class ObservationRecord:
             raise ValueError("event times must be strictly increasing")
         if ts and (ts[0] < self.times[0] or ts[-1] > self.times[-1]):
             raise ValueError("event times must lie in [times[0], times[-1]]")
-
-    @property
-    def step(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values, axis=0)
-
-    def at(self, t):
-        """Linear interpolation of the path at times t, one column per channel."""
-        if self.values.ndim == 1:
-            return np.interp(t, self.times, self.values)
-        return np.column_stack([np.interp(t, self.times, z) for z in self.values.T])
 
 
 # widest window [-L, L] the initial-state sampler tries
@@ -239,7 +218,7 @@ def simulate_time_changed_state_direct(model: ModelSpec, T: InversePath, seed) -
     Independent construction of the same law as composing the classical path with
     T; flat stretches of T produce exactly constant stretches of X.
     """
-    X, _ = _euler_maruyama(model, np.diff(T.values), _rng(seed))
+    X, _ = _euler_maruyama(model, T.increments, _rng(seed))
     return StatePath(times=T.times, values=X[0])
 
 
@@ -414,8 +393,7 @@ def kallianpur_striebel_estimate(model: ModelSpec, observed: ObservationRecord, 
     a state-jump channel that fires rejected.  Weight collapse (ESS < 2) is
     flagged, not fatal.
     """
-    M = len(observed.times) - 1
-    est, sd, ess, _, _ = _weighted_particles(model, observed, np.full(M, observed.step), f,
-                                             n_particles, seed)
+    dT = np.full(len(observed.times) - 1, observed.step)
+    est, sd, ess, _, _ = _weighted_particles(model, observed, dT, f, n_particles, seed)
     return KSEstimate(times=observed.times, values=est, ess=ess,
                       weight_collapse=bool(np.min(ess) < 2.0), posterior_sd=sd)

@@ -4,6 +4,8 @@ The increasing process D has Laplace transform E[exp(-s * D_t)] = exp(-t * s**be
 with stability index beta in (0, 1).  Its inverse T_t = min{tau : D_tau >= t} is the
 random clock used by the time-changed filtering models.  This module provides
 
+* _SampledPath, the base of D, T and sde_sim's state and observation paths,
+  which refuses a grid that is not uniform or values without one row per node,
 * exact-in-distribution path sampling of D (Chambers-Mallows-Stuck / Kanter form),
 * path inversion onto a real-time grid, and the clock sampler that redraws D
   on a longer operational horizon until it covers the real-time one,
@@ -75,40 +77,60 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
-def _check_grid(times: np.ndarray, what: str) -> None:
-    """Refuse fewer than two nodes, a first step that is not positive, or a step
-    more than a relative 1e-5 from the first (an absolute tolerance would pass
-    any grid whose steps are all below it)."""
-    if np.size(times) < 2:
-        raise ValueError(f"{what} needs at least two nodes, got {np.size(times)}")
-    d = np.diff(times)
-    if not (d[0] > 0.0 and np.abs(d - d[0]).max() <= 1e-5 * d[0]):
-        raise ValueError(f"{what} must be uniform with a positive step")
-
-
 def _check_time(t: float) -> None:
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
 
 
 @dataclass(frozen=True)
-class SubordinatorPath:
-    """Sampled path of the stable subordinator D on a uniform operational-time grid."""
+class _SampledPath:
+    """Values on a uniform time grid, one row per node, checked before a subtype's
+    own rules read them: two or more nodes and every step within a relative
+    1e-5 of a positive first step (an absolute tolerance would pass any grid
+    whose steps are all below it)."""
 
-    beta: float
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        _check_beta(self.beta)
-        if self.values[0] != 0.0:
-            raise ValueError("subordinator paths start at 0")
-        if np.any(np.diff(self.values) <= 0.0):
-            raise ValueError("subordinator paths must be strictly increasing")
+        name = type(self).__name__
+        if np.shape(self.values)[:1] != np.shape(self.times):
+            raise ValueError(f"{name} has values of shape {np.shape(self.values)} for "
+                             f"{np.size(self.times)} time nodes")
+        if np.size(self.times) < 2:
+            raise ValueError(f"{name}'s time grid needs at least two nodes, got {np.size(self.times)}")
+        d = np.diff(self.times)
+        if not (d[0] > 0.0 and np.abs(d - d[0]).max() <= 1e-5 * d[0]):
+            raise ValueError(f"{name}'s time grid must be uniform with a positive step")
 
     @property
     def step(self) -> float:
         return float(self.times[1] - self.times[0])
+
+    @property
+    def increments(self) -> np.ndarray:
+        return np.diff(self.values, axis=0)
+
+    def at(self, t):
+        """Linear interpolation of the path at times t, one column per channel."""
+        if np.ndim(self.values) == 1:
+            return np.interp(t, self.times, self.values)
+        return np.column_stack([np.interp(t, self.times, z) for z in self.values.T])
+
+
+@dataclass(frozen=True)
+class SubordinatorPath(_SampledPath):
+    """Sampled path of the stable subordinator D on a uniform operational-time grid."""
+
+    beta: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_beta(self.beta)
+        if self.values[0] != 0.0:
+            raise ValueError("subordinator paths start at 0")
+        if np.any(self.increments <= 0.0):
+            raise ValueError("subordinator paths must be strictly increasing")
 
     @property
     def horizon_reached(self) -> float:
@@ -117,29 +139,17 @@ class SubordinatorPath:
 
 
 @dataclass(frozen=True)
-class InversePath:
-    """First-hitting-time inverse T on a uniform real-time grid from 0 (checked
-    here); continuous, nondecreasing."""
-
-    times: np.ndarray
-    values: np.ndarray
+class InversePath(_SampledPath):
+    """First-hitting-time inverse T on a uniform real-time grid from 0; nondecreasing."""
 
     def __post_init__(self):
-        _check_grid(self.times, "the clock's real-time grid")
+        super().__post_init__()
         if self.times[0] != 0.0:
-            raise ValueError("the clock's real-time grid must start at 0")
+            raise ValueError("InversePath's time grid must start at 0")
         if self.values[0] != 0.0:
             raise ValueError("inverse paths start at 0")
-        if np.any(np.diff(self.values) < 0.0):
+        if np.any(self.increments < 0.0):
             raise ValueError("inverse paths must be nondecreasing")
-
-    @property
-    def step(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    def at(self, t):
-        """Linear interpolation of T at arbitrary times inside the grid."""
-        return np.interp(t, self.times, self.values)
 
 
 # ---------------------------------------------------------------------------

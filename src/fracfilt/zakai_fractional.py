@@ -20,23 +20,24 @@ Two discretizations of the same filtering object are provided, selected by the
 ``kernel``
     Expectation semantics.  The memory term is the deterministic fractional
     integral J^beta of the stored A* Phi history (product-trapezoidal weights,
-    fully explicit with the endpoint sample extrapolated), and the observation
-    term is the accumulated left-point sum of h Phi dV.  The weights depend
-    on the lag only and are built once, scaled by 1/Gamma(beta), with the
-    extrapolated endpoint's weight folded into lag 0.  The history stored
+    fully explicit with the endpoint sample extrapolated); a step takes the
+    memory increment, then clock mode's exact factor exp(h dV - 0.5 |h|^2 dT),
+    so an unbounded h needs no finer step than a bounded one.  The weights
+    depend on the lag only and are built once, scaled by 1/Gamma(beta), with
+    the extrapolated endpoint's weight folded into lag 0.  The history stored
     before a block of _HISTORY_BLOCK steps enters the block by one FFT
     convolution per node (fraccalc._lag_convolution, as in
     fractional_integral), together with the terms no step changes, and each
     step adds only the rows of its own block, so M steps on n nodes cost
-    O((M/B) M log M n + M B n) rather than O(M^2 n).  With h = 0 the
-    observation sum is exactly zero and is skipped, and this
-    marches the time-fractional Fokker-Planck equation, whose solution is the
-    g-weighted subordination average of the classical flow; it is the beta -> 1
-    classical-limit surrogate.  Explicit stepping imposes the restriction
-    dt**beta * ||A*|| <= z(beta); thresholds were measured on the scalar
-    recursion and are enforced with a safety margin.  The admissible step
-    therefore collapses like (z/||A*||)**(1/beta): small indices need coarse
-    spatial grids to stay at desk scale.
+    O((M/B) M log M n + M B n) rather than O(M^2 n).  With h = 0 the factor
+    is exactly 1 and is skipped, and this marches the time-fractional
+    Fokker-Planck equation, whose solution is the g-weighted subordination
+    average of the classical flow; it is the beta -> 1 classical-limit
+    surrogate.  Explicit stepping imposes the restriction dt**beta * ||A*||
+    <= z(beta); thresholds were measured on the scalar recursion and are
+    enforced with a safety margin.  The admissible step therefore collapses
+    like (z/||A*||)**(1/beta): small indices need coarse spatial grids to
+    stay at desk scale.
 
 The two modes agree in distribution: averaging clock-mode solutions over
 independent T paths converges at Monte-Carlo rate to the kernel-mode /
@@ -217,7 +218,7 @@ def _solve_clock(model, grid, T, obs):
     # whose edges are the points of linspace(T_k, T_{k+1}, n_sub[k] + 1); the
     # 1e-9 keeps a step that rounds a few ulp above a multiple of _DTAU_MAX
     # (0.06 - 0.04, say) from taking one extra chunk
-    dtau = np.diff(T.values)
+    dtau = T.increments
     n_sub = np.where(dtau > 0.0, np.maximum(np.ceil(dtau / _DTAU_MAX - 1e-9), 1.0), 0.0)
     n_sub = n_sub.astype(int)
     first = np.concatenate(([0], np.cumsum(n_sub)))
@@ -266,8 +267,9 @@ def _solve_clock(model, grid, T, obs):
 def _solve_kernel(model, grid, T, obs):
     """Explicit product-trapezoid march of the memory form of the equation.
 
-    Phi_{k+1} = p0 + J^beta[A* Phi](t_{k+1}) + sum_{i <= k} (h dV_i) Phi_i, with
-    the unknown endpoint sample A* Phi_{k+1} extrapolated by A* Phi_k.  In
+    m_{k+1} = p0 + J^beta[A* Phi](t_{k+1}), with the unknown endpoint sample
+    A* Phi_{k+1} extrapolated by A* Phi_k, is Phi_{k+1} when h = 0, and else
+    Phi_{k+1} = exp(h dV_k - 0.5 |h|^2 dT_k) (Phi_k + m_{k+1} - m_k), m_0 = p0.  In
     J^beta the stored samples hist[j] = A* Phi_j carry weights from the
     arrays P, Q of trapezoid_weights, divided by Gamma(beta) once: Q[k] on
     hist[0], the lag weight c[k - j] = Q[k - j] + P[k - j + 1] on hist[j] for
@@ -280,15 +282,14 @@ def _solve_kernel(model, grid, T, obs):
     into the block's rows of Phi, and the terms that no step changes,
     Q[k] hist[0] + p0, are added to those rows in slabs.  A step then computes
     only what depends on Phi_k: hist[k], the dot over its own block's rows,
-    the observation sum (skipped when h = 0, where it is exactly zero) and a
-    clamp that runs when the minimum is negative.  A solve of M steps on n
-    nodes costs O((M/B) M log M n + M B n) instead of O(M^2 n), and needs
-    O(M) working memory beyond Phi and hist.
+    the factor (skipped when h = 0, where it is exactly 1) and a clamp that
+    runs when the minimum is negative.  A solve of M steps on n nodes costs
+    O((M/B) M log M n + M B n) instead of O(M^2 n), and needs O(M) working
+    memory beyond Phi and hist.
     """
     beta = model.beta
-    times = T.times
     dt = T.step
-    M = len(times) - 1
+    M = len(T.times) - 1
     A = adjoint_matrix(model, grid)
     dt_max = stable_step(beta, A)
     if dt > dt_max:
@@ -299,8 +300,10 @@ def _solve_kernel(model, grid, T, obs):
     x = grid.nodes
     n = grid.n_nodes
     h = model.h_matrix(x)
+    hsq = 0.5 * np.sum(h * h, axis=1)
     observed = bool(np.any(h))
     dV = np.diff(obs.at(T.values), axis=0).reshape(M, -1)
+    dT = T.increments
 
     P, Q = trapezoid_weights(beta, M, dt)
     gamma_beta = _gamma(beta)
@@ -319,7 +322,7 @@ def _solve_kernel(model, grid, T, obs):
     Phi[0] = p0
     hist = np.empty((M, n))                    # hist[j] = A* Phi(t_j)
     hist[0] = A @ p0
-    obs_acc = np.zeros(n)
+    m_prev = p0                                # p0 + J^beta[A* Phi](t_k), before its factor
     clamped = 0.0
     for K in range(0, M, _HISTORY_BLOCK):
         E = min(K + _HISTORY_BLOCK, M)
@@ -342,13 +345,13 @@ def _solve_kernel(model, grid, T, obs):
             u = Phi[k + 1]
             u += c_rev[M - 2 - k + J:] @ hist[J:k + 1]
             if observed:
-                obs_acc += np.dot(h, dV[k]) * Phi[k]
-                u += obs_acc
+                du, m_prev = u - m_prev, u.copy()
+                np.multiply(np.exp(np.dot(h, dV[k]) - hsq * dT[k]), Phi[k] + du, out=u)
             if u.min() < 0.0:
                 neg = u < 0.0
                 clamped += float(-u[neg].sum() * grid.spacing)
                 u[neg] = 0.0
-    return FilterDensityGrid(grid=grid, times=times.copy(), values=Phi, clamped_mass=clamped)
+    return FilterDensityGrid(grid=grid, times=T.times.copy(), values=Phi, clamped_mass=clamped)
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,17 @@ class TestRunner:
         summary = outs[0]["run_summary.txt"].decode()
         assert "equation_residual = " in summary and "residual_se = " in summary
 
+    def test_jump_filter_run_names_the_model_it_ran(self, tmp_path):
+        # the run kind has one model; a config that asks for another is told so
+        cfg = parse_config("run = jump-filter\nmodel = benes-like\nbeta = 0.5\nseed = 4242\n"
+                           "horizon = 0.25\nstep = 2e-3\nparticles = 500\n")
+        cfg.out_dir = str(tmp_path / "out")
+        status, _ = run_experiment(cfg)
+        assert status == 0
+        summary = dict(line.split(" = ", 1) for line in
+                       (tmp_path / "out" / "run_summary.txt").read_text().splitlines())
+        assert summary["model"] == "jump-poisson"
+
     def test_zakai_run_without_observation_conserves_mass(self, tmp_path):
         # the model.observation override reaches the solver: h = 0 leaves the mass alone
         cfg = parse_config("run = zakai\nbeta = 0.5\nseed = 11\nhorizon = 0.25\nstep = 1e-3\n"

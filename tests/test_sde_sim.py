@@ -423,6 +423,20 @@ class TestKallianpurStriebel:
             fractional_filter_jump_obs(m, replace(unit_clock(Z.times), times=t), Z,
                                        lambda x: x, 100, seed=39)
 
+    def test_ks_and_clock_mode_cannot_be_handed_values_off_their_grid(self):
+        # KS once said "cannot reshape array" and a clock-mode solve "fp and xp
+        # are not of the same length"; the record and the clock now refuse
+        # themselves when they are built, with their type named
+        from fracfilt.models import SpatialGrid
+        from fracfilt.zakai_fractional import solve_fractional_zakai
+        m = named_model("ou-linear", 0.5)
+        _, Z = simulate_classical_pair(m, 0.1, 1e-2, seed=42)
+        T = unit_clock(Z.times)
+        with pytest.raises(ValueError, match="ObservationRecord has values of shape"):
+            kallianpur_striebel_estimate(m, replace(Z, values=Z.values[:5]), lambda x: x, 100, seed=42)
+        with pytest.raises(ValueError, match="InversePath has values of shape"):
+            solve_fractional_zakai(m, SpatialGrid(-6.0, 6.0, 48), replace(T, values=T.values[:3]), Z)
+
     def test_prefix_run_reproduces_the_full_run(self):
         # one sequential noise stream, drawn a block of S steps ahead: the estimate
         # is online, so a run on the first k steps gives the first k + 1 outputs of

@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from scipy.special import gamma, roots_legendre
 
 from fracfilt import subordinator
+from fracfilt.sde_sim import ObservationRecord, StatePath
 from fracfilt.subordinator import (
     InversePath,
     SubordinatorPath,
@@ -475,6 +476,27 @@ class TestPathTypes:
         # the grid is checked before the values are read
         with pytest.raises(ValueError, match=match):
             InversePath(times=np.array(times), values=np.zeros(len(times)))
+
+    @pytest.mark.parametrize("kind", ["SubordinatorPath", "InversePath", "StatePath",
+                                      "ObservationRecord"])
+    @pytest.mark.parametrize("case", ["row-count", "one-node", "zero-steps"])
+    def test_every_path_type_refuses_values_that_do_not_fit_its_grid(self, kind, case):
+        # the one base checks the rows against the grid, then the grid, before a
+        # type's own rules read a value; each type names itself
+        build = {"SubordinatorPath": lambda t, v: SubordinatorPath(times=t, values=v, beta=0.5),
+                 "InversePath": InversePath, "StatePath": StatePath,
+                 "ObservationRecord": ObservationRecord}[kind]
+        rows = {"SubordinatorPath": ([0.0, 0.0, 5.0], [0.0, 1.0]),
+                "InversePath": (np.linspace(0.0, 0.1, 11), np.zeros(3)),
+                "StatePath": ([0.0, 0.5, 0.2], np.zeros(7)),
+                "ObservationRecord": (np.linspace(0.0, 0.1, 11), np.zeros(5))}[kind]
+        times, values, match = {
+            "row-count": (*rows, "has values of shape"),
+            "one-node": ([0.0], [0.0], "needs at least two nodes"),
+            "zero-steps": ([0.0, 0.0, 0.0], [0.0, 1.0, 2.0], "must be uniform with a positive step"),
+        }[case]
+        with pytest.raises(ValueError, match=f"^{kind}('s time grid)? {match}"):
+            build(np.array(times), np.array(values))
 
     @pytest.mark.parametrize("horizon, step, n", [(0.07, 0.01, 7), (0.14, 0.01, 14),
                                                   (0.28, 0.02, 14), (0.075, 0.01, 8)])

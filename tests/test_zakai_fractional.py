@@ -1,9 +1,12 @@
 import tracemalloc
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.special import gamma
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import erfcx, gamma
 
 import fracfilt.zakai_fractional as zf
 from fracfilt.fraccalc import trapezoid_node_weights, trapezoid_weights
@@ -11,6 +14,7 @@ from fracfilt.models import (
     JumpSpec,
     ModelSpec,
     SpatialGrid,
+    adjoint_diagonals,
     adjoint_matrix,
     gaussian_density,
     named_model,
@@ -26,6 +30,7 @@ from fracfilt.zakai_classical import solve_zakai
 from fracfilt.zakai_fractional import (
     l1_distance,
     pathwise_oracle_report,
+    quadrature_and_kernel,
     solve_fractional_zakai,
     stable_step,
     subordinate_filter,
@@ -51,31 +56,76 @@ def zero_obs(horizon, step):
 
 def direct_kernel_solve(model, grid, T, obs):
     """Kernel mode with the O(M^2) history: node weights rebuilt and the whole
-    history summed at every step.  Returns the profiles and the clamped mass."""
+    history summed at every step, then the memory increment taken and the
+    observation factor applied.  Returns the profiles and the clamped mass."""
     M = len(T.times) - 1
     n = grid.n_nodes
     A = adjoint_matrix(model, grid)
     h = model.h_matrix(grid.nodes)
+    dT = np.diff(T.values)
     dV = np.diff(np.interp(T.values, obs.times, obs.values))[:, None]
     P, Q = trapezoid_weights(model.beta, max(M, 1), T.step)
     p0 = np.maximum(model.p0(grid.nodes), 0.0)
     Phi = np.empty((M + 1, n))
     Phi[0] = p0
     hist = np.empty((M, n))
-    obs_acc = np.zeros(n)
+    m_prev = p0
     clamped = 0.0
     for k in range(M):
         hist[k] = A @ Phi[k]
         wts = trapezoid_node_weights(P, Q, k + 1)
-        memory = (wts[:k + 1] @ hist[:k + 1] + wts[k + 1] * hist[k]) / gamma(model.beta)
-        obs_acc = obs_acc + (h @ dV[k]) * Phi[k]
-        u = p0 + memory + obs_acc
+        m = p0 + (wts[:k + 1] @ hist[:k + 1] + wts[k + 1] * hist[k]) / gamma(model.beta)
+        factor = np.exp(h @ dV[k] - 0.5 * np.sum(h * h, axis=1) * dT[k])
+        u = factor * (Phi[k] + (m - m_prev))
+        m_prev = m
         neg = u < 0.0
         if neg.any():
             clamped += float(-u[neg].sum() * grid.spacing)
             u[neg] = 0.0
         Phi[k + 1] = u
     return Phi, clamped
+
+
+def mittag_leffler_neg(beta, x, nodes=24):
+    """E_beta(-x) at x >= 0: the inverse Laplace transform of s^(beta-1)/(s^beta + x)
+    at t = 1 by the midpoint rule on the modified Talbot contour
+    s(theta) = nodes (0.5017 theta cot(0.6407 theta) - 0.6122 + 0.2645 i theta)
+    (Weideman & Trefethen, Math. Comp. 2007)."""
+    theta = np.pi * (2.0 * np.arange(nodes) + 1.0 - nodes) / nodes
+    a = 0.6407 * theta
+    s = nodes * (0.5017 * theta / np.tan(a) - 0.6122 + 0.2645j * theta)
+    ds = nodes * (0.5017 / np.tan(a) - 0.5017 * a / np.sin(a) ** 2 + 0.2645j)
+    x = np.asarray(x, dtype=float)[..., None]
+    return (np.exp(s) * s ** (beta - 1.0) / (s ** beta + x) * ds).sum(axis=-1).imag / nodes
+
+
+def exact_fractional_profile(model, grid, t):
+    """E_beta(t^beta A*) p0: the observation-free time-fractional equation,
+    exact in time on the spatial grid (h is ignored).
+
+    The diagonal similarity s_{j+1} / s_j = sqrt(lower_j / upper_j) makes the
+    tridiagonal A* symmetric, eigh_tridiagonal diagonalizes it, and each
+    eigenvalue lam <= 0 enters as E_beta(-t^beta |lam|).  Raises when
+    lower * upper <= 0 somewhere or the model has state jumps."""
+    if model.jumps is not None and model.jumps.state_jump_map is not None:
+        raise ValueError("the exact reference has no state jumps")
+    lower, main, upper = adjoint_diagonals(model, grid)
+    if np.any(lower * upper <= 0.0):
+        raise ValueError("adjoint_diagonals needs lower * upper > 0 to be symmetrized")
+    log_s = np.concatenate(([0.0], np.cumsum(0.5 * np.log(lower / upper))))
+    lam, V = eigh_tridiagonal(main, np.sign(lower) * np.sqrt(lower * upper))
+    p0 = np.maximum(model.p0(grid.nodes), 0.0)
+    decay = mittag_leffler_neg(model.beta, np.maximum(-lam, 0.0) * t ** model.beta)
+    return np.exp(log_s) * (V @ (decay * (V.T @ (np.exp(-log_s) * p0))))
+
+
+@lru_cache(maxsize=1)
+def criterion_7_legs():
+    """Criterion 7's h = 0 model, its quadrature and kernel profiles at t = 1,
+    and the exact profile."""
+    base = named_model("ou-linear", 0.5, mean0=1.0, std0=0.7)
+    model, _, quadrature, kernel = quadrature_and_kernel(base, GRID, 1.0, 2e-3)
+    return quadrature, kernel.at_time(1.0), exact_fractional_profile(model, GRID, 1.0)
 
 
 def kernel_inputs(model, grid, M, scale, seed):
@@ -286,8 +336,8 @@ class TestKernelMode:
         assert l1_distance(grid, quadr, Phi.at_time(1.0)) < 1e-3
 
     def test_classical_limit_beta_near_one(self):
-        # bounded observation function (the kernel mode's additive observation
-        # term carries noise error scaling with sup|h|^2 sqrt(dt))
+        # bounded observation function, as in criterion 8; the unbounded h = x
+        # is the next test
         beta = 0.999
         base = named_model("benes-like", beta)
         model = ModelSpec(drift=base.drift, sigma=base.sigma, observation=base.observation,
@@ -298,6 +348,19 @@ class TestKernelMode:
         T = unit_slope_inverse(1.0, step)
         Phi = solve_fractional_zakai(model, GRID, T, Z, memory="kernel")
         assert l1_distance(GRID, Phi.at_time(1.0), U.at_time(1.0)) < 5e-2
+
+    def test_classical_limit_with_unbounded_observation(self):
+        # h(x) = x on ou-linear: the exact factor exp(h dV - 0.5 |h|^2 dT) keeps
+        # kernel mode at 1.2e-4 from solve_zakai; the additive left-point sum
+        # it replaced was 2.0e-2 away at this step
+        beta = 0.999
+        model = replace(named_model("ou-linear", beta), p0=gaussian_density(-0.8, 0.8))
+        step = 1e-3
+        _, Z = simulate_classical_pair(model, 1.0 + step, step, seed=58)
+        U = solve_zakai(model, GRID, Z)
+        T = unit_slope_inverse(1.0, step)
+        Phi = solve_fractional_zakai(model, GRID, T, Z, memory="kernel")
+        assert l1_distance(GRID, Phi.at_time(1.0), U.at_time(1.0)) < 2e-3
 
 
 class TestKernelHistory:
@@ -317,7 +380,8 @@ class TestKernelHistory:
         assert np.max(np.abs(Phi.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_clamped_mass_matches_direct_history(self):
-        # large observation increments drive the additive h Phi dV sum negative
+        # large observation increments drive Phi_k + m_{k+1} - m_k negative
+        # before its positive factor
         model = relaxing_ou(0.5)
         T, obs = kernel_inputs(model, GRID, 2 * self.B + 3, 30.0, seed=7)
         ref, clamped = direct_kernel_solve(model, GRID, T, obs)
@@ -326,14 +390,17 @@ class TestKernelHistory:
         assert Phi.clamped_mass == pytest.approx(clamped, rel=1e-12)
         assert np.max(np.abs(Phi.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    def test_zero_record_skips_nothing_but_zeros(self):
-        # on a zero record the observation sum of h(x) = x adds exact zeros, so
-        # the h = 0 twin, which skips that sum, gives the same bits
+    def test_h_zero_profile_is_pinned(self):
+        # with h = 0 a step skips the factor and keeps the bits it had when
+        # the observation term was an additive sum
         M = 2 * self.B + 3
         T, obs = kernel_inputs(relaxing_ou(0.5), GRID, M, 0.0, seed=5)
-        observed = solve_fractional_zakai(relaxing_ou(0.5), GRID, T, obs, memory="kernel")
-        free = solve_fractional_zakai(relaxing_ou(0.5, h_zero=True), GRID, T, obs, memory="kernel")
-        assert np.array_equal(observed.values, free.values)
+        Phi = solve_fractional_zakai(relaxing_ou(0.5, h_zero=True), GRID, T, obs, memory="kernel")
+        assert Phi.clamped_mass == 0.0
+        assert Phi.values[1, 20] == 0.010847465987828913
+        assert Phi.values[700, 28] == 0.46682422846064686
+        assert Phi.values[1400, 30] == 0.31161475755433954
+        assert Phi.values[M, 24] == 0.3264704893905918
 
     def test_many_small_blocks(self, monkeypatch):
         monkeypatch.setattr(zf, "_HISTORY_BLOCK", 7)
@@ -357,6 +424,33 @@ class TestKernelHistory:
             tracemalloc.stop()
         one = M * n * 8
         assert peak < one + (M + 1) * n * 8 + 0.25 * one
+
+
+class TestExactReference:
+    """The observation-free equation exact in time, E_beta(t^beta A*) p0."""
+
+    def test_mittag_leffler_at_one_half_is_erfcx(self):
+        x = np.concatenate(([0.0], np.geomspace(1e-6, 1e4, 400)))
+        assert np.max(np.abs(mittag_leffler_neg(0.5, x) - erfcx(x))) < 1e-13
+
+    def test_kernel_profile_is_near_exact(self):
+        _, kernel, exact = criterion_7_legs()
+        assert abs(GRID.integrate(exact) - 1.0) < 1e-12
+        assert l1_distance(GRID, kernel, exact) < 5e-8
+
+    def test_quadrature_is_near_exact(self):
+        quadrature, _, exact = criterion_7_legs()
+        assert l1_distance(GRID, quadrature, exact) < 2e-7
+
+    def test_refuses_state_jumps_and_an_unsymmetrizable_stencil(self):
+        base = named_model("ou-linear", 0.5)
+        jumpy = replace(base, jumps=JumpSpec(intensity=1.0, atoms=[(0.3, 1.0)],
+                                             state_jump_map=lambda x, w: np.full_like(x, w)))
+        with pytest.raises(ValueError, match="state jumps"):
+            exact_fractional_profile(jumpy, GRID, 1.0)
+        steep = replace(base, drift=lambda x: -40.0 * np.asanyarray(x, dtype=float))
+        with pytest.raises(ValueError, match="lower \\* upper"):
+            exact_fractional_profile(steep, GRID, 1.0)
 
 
 class TestErrors:
