@@ -37,10 +37,14 @@ def solve_zakai(
 
     solve_fractional_zakai on the identity clock T_t = t: the same models (state
     jumps included), checks and _MAX_STEPS limit.  obs must live on a uniform
-    time grid starting at 0; its values are consumed verbatim.  Steps longer than
-    the chunk limit of 0.02 are split into equal Crank-Nicolson chunks, and small
-    CN undershoots are clamped to zero, their mass kept in clamped_mass.
+    time grid starting at 0 (a record that starts later is refused by name);
+    its values are consumed verbatim.  Steps longer than the chunk limit of
+    0.02 are split into equal Crank-Nicolson chunks, and small CN undershoots
+    are clamped to zero, their mass kept in clamped_mass.
     """
+    if obs.times[0] != 0.0:
+        raise ValueError(f"solve_zakai needs an observation record that starts at 0; "
+                         f"this one starts at {obs.times[0]}")
     return solve_fractional_zakai(model, grid, InversePath(times=obs.times, values=obs.times), obs)
 
 

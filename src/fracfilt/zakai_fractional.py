@@ -29,15 +29,17 @@ Two discretizations of the same filtering object are provided, selected by the
     convolution per node (fraccalc._lag_convolution, as in
     fractional_integral), together with the terms no step changes, and each
     step adds only the rows of its own block, so M steps on n nodes cost
-    O((M/B) M log M n + M B n) rather than O(M^2 n).  With h = 0 the factor
-    is exactly 1 and is skipped, and this marches the time-fractional
-    Fokker-Planck equation, whose solution is the g-weighted subordination
-    average of the classical flow; it is the beta -> 1 classical-limit
-    surrogate.  Explicit stepping imposes the restriction dt**beta * ||A*||
-    <= z(beta); thresholds were measured on the scalar recursion and are
-    enforced with a safety margin.  The admissible step therefore collapses
-    like (z/||A*||)**(1/beta): small indices need coarse spatial grids to
-    stay at desk scale.
+    O((M/B) M log M n + M B n) rather than O(M^2 n).  Each step's A* Phi comes
+    from the stencil of ``models.adjoint_diagonals`` (plus the state-jump
+    matrix for a model with a state jump map); the csr ``adjoint_matrix`` only
+    feeds the stability bound.  With h = 0 the factor is exactly 1 and is
+    skipped, and this marches the time-fractional Fokker-Planck equation,
+    whose solution is the g-weighted subordination average of the classical
+    flow; it is the beta -> 1 classical-limit surrogate.  Explicit stepping
+    imposes the restriction dt**beta * ||A*|| <= z(beta); thresholds were
+    measured on the scalar recursion and are enforced with a safety margin.
+    The admissible step therefore collapses like (z/||A*||)**(1/beta): small
+    indices need coarse spatial grids to stay at desk scale.
 
 The two modes agree in distribution: averaging clock-mode solutions over
 independent T paths converges at Monte-Carlo rate to the kernel-mode /
@@ -83,6 +85,9 @@ _DTAU_MAX = 0.02
 
 # chunks whose observation factors and diagonals clock mode computes at once
 _CHUNK_BLOCK = 256
+
+# kernel-mode steps whose observation factors and constant terms are computed at once
+_SLAB = 64
 
 # kernel-mode steps whose earlier history one FFT convolution covers
 _HISTORY_BLOCK = 1024
@@ -186,6 +191,23 @@ def solve_banded(dl, d, du, b):
     return x
 
 
+def _jump_adjoint(model, grid):
+    """The adjoint of the state-jump generator as csr, or None for a model
+    without state jumps."""
+    jumps = model.jumps
+    if jumps is not None and jumps.state_jump_map is not None and jumps.intensity > 0.0:
+        return jump_generator_matrix(model, grid).T.tocsr()
+    return None
+
+
+def _observation_factors(dV, h, hsq, d):
+    """exp(h dV - 0.5 |h|^2 d), one row per step of the increments dV and the
+    operational lengths d (a column)."""
+    factor = dV @ h.T
+    factor -= hsq * d
+    return np.exp(factor, out=factor)
+
+
 def _solve_clock(model, grid, T, obs):
     """Crank-Nicolson along the clock T, the one stepper of every grid Zakai solve.
 
@@ -209,10 +231,7 @@ def _solve_clock(model, grid, T, obs):
     observed = bool(np.any(h))
 
     lower, main, upper = adjoint_diagonals(model, grid)
-    has_jumps = model.jumps is not None and model.jumps.state_jump_map is not None \
-        and model.jumps.intensity > 0.0
-    if has_jumps:
-        A_jump = jump_generator_matrix(model, grid).T.tocsr()
+    A_jump = _jump_adjoint(model, grid)
 
     # every chunk of the solve at once: step k owns chunks first[k]:first[k + 1],
     # whose edges are the points of linspace(T_k, T_{k+1}, n_sub[k] + 1); the
@@ -232,11 +251,7 @@ def _solve_clock(model, grid, T, obs):
         """Observation factors (None when h = 0) and the diagonals of
         (I - d/2 A) / 2 for chunks c:c + _CHUNK_BLOCK, one row per chunk."""
         d = delta[c:c + _CHUNK_BLOCK, None]
-        factor = None
-        if observed:
-            factor = dV[c:c + _CHUNK_BLOCK] @ h.T
-            factor -= hsq * d
-            np.exp(factor, out=factor)
+        factor = _observation_factors(dV[c:c + _CHUNK_BLOCK], h, hsq, d) if observed else None
         s = 0.25 * d                         # 0.0 - x keeps +0.0 where A has a zero entry
         return factor, 0.0 - s * lower, 0.5 - s * main, 0.0 - s * upper
 
@@ -244,19 +259,21 @@ def _solve_clock(model, grid, T, obs):
     Phi = np.empty((len(T.times), n))
     Phi[0] = u
     clamped = 0.0
-    for k in range(dtau.size):
-        for c in range(first[k], first[k + 1]):
+    start = 0
+    for k, end in enumerate(first[1:].tolist()):
+        for c in range(start, end):
             i = c % _CHUNK_BLOCK
             if i == 0:
                 factor = dl = dd = du = None        # one block alive at a time
                 factor, dl, dd, du = block(c)
-            rhs = u + (0.5 * delta[c]) * (A_jump @ u) if has_jumps else u
+            rhs = u if A_jump is None else u + (0.5 * delta[c]) * (A_jump @ u)
             v = solve_banded(dl[i], dd[i], du[i], rhs)
             v -= u
             if observed:
                 v *= factor[i]
             u = v
-        if u.min() < 0.0:
+        start = end
+        if np.minimum.reduce(u) < 0.0:
             neg = u < 0.0
             clamped += float(-u[neg].sum() * grid.spacing)
             u[neg] = 0.0
@@ -280,12 +297,16 @@ def _solve_kernel(model, grid, T, obs):
     of the sum over hist[1:K] is one FFT convolution per node
     (fraccalc._lag_convolution, shared with fractional_integral), written
     into the block's rows of Phi, and the terms that no step changes,
-    Q[k] hist[0] + p0, are added to those rows in slabs.  A step then computes
-    only what depends on Phi_k: hist[k], the dot over its own block's rows,
-    the factor (skipped when h = 0, where it is exactly 1) and a clamp that
-    runs when the minimum is negative.  A solve of M steps on n nodes costs
-    O((M/B) M log M n + M B n) instead of O(M^2 n), and needs O(M) working
-    memory beyond Phi and hist.
+    Q[k] hist[0] + p0, are added to those rows in slabs of _SLAB rows; the
+    observation factors are computed for a slab of steps at a time.  A step
+    then computes only what depends on Phi_k: hist[k] from the stencil of
+    adjoint_diagonals in the csr product's row order (bit for bit
+    adjoint_matrix @ Phi_k without state jumps, whose matrix product is added
+    after it), the dot over its own block's rows, the factor (skipped when
+    h = 0, where it is exactly 1) and a clamp that runs when the minimum is
+    negative.  adjoint_matrix only feeds stable_step.  A solve of M steps on
+    n nodes costs O((M/B) M log M n + M B n) instead of O(M^2 n), and needs
+    O(M) working memory beyond Phi and hist.
     """
     beta = model.beta
     dt = T.step
@@ -303,7 +324,23 @@ def _solve_kernel(model, grid, T, obs):
     hsq = 0.5 * np.sum(h * h, axis=1)
     observed = bool(np.any(h))
     dV = np.diff(obs.at(T.values), axis=0).reshape(M, -1)
-    dT = T.increments
+    dT = T.increments[:, None]
+    lower, main, upper = adjoint_diagonals(model, grid)
+    A_jump = _jump_adjoint(model, grid)
+    spill = np.empty(n - 1)
+
+    def adjoint(u, out):
+        """out = A* u from the stencil, in the csr product's row order, plus the
+        state-jump term for a model with a state jump map."""
+        np.multiply(main, u, out=out)
+        np.multiply(lower, u[:-1], out=spill)
+        rows = out[1:]
+        np.add(rows, spill, out=rows)
+        np.multiply(upper, u[1:], out=spill)
+        rows = out[:-1]
+        np.add(rows, spill, out=rows)
+        if A_jump is not None:
+            out += A_jump @ u
 
     P, Q = trapezoid_weights(beta, M, dt)
     gamma_beta = _gamma(beta)
@@ -321,8 +358,9 @@ def _solve_kernel(model, grid, T, obs):
     Phi = np.empty((M + 1, n))
     Phi[0] = p0
     hist = np.empty((M, n))                    # hist[j] = A* Phi(t_j)
-    hist[0] = A @ p0
-    m_prev = p0                                # p0 + J^beta[A* Phi](t_k), before its factor
+    adjoint(p0, hist[0])
+    m_prev = p0.copy()                         # p0 + J^beta[A* Phi](t_k), before its factor
+    work = np.empty(n)
     clamped = 0.0
     for K in range(0, M, _HISTORY_BLOCK):
         E = min(K + _HISTORY_BLOCK, M)
@@ -332,8 +370,8 @@ def _solve_kernel(model, grid, T, obs):
         _lag_convolution(c[1:E - 1], hist[1:K], K - 2, E - 2, out=Phi[K + 1:E + 1])
         # the terms no step changes, Q[k] hist[0] + p0, in slabs of rows that
         # keep the temporary small
-        for r in range(K, E, 64):
-            s = min(r + 64, E)
+        for r in range(K, E, _SLAB):
+            s = min(r + _SLAB, E)
             rows = Phi[r + 1:s + 1]
             rows += Q[r:s, None] * hist[0]
             rows += p0
@@ -341,13 +379,19 @@ def _solve_kernel(model, grid, T, obs):
             Phi[1] += P[0] * hist[0]           # step 0's extrapolated endpoint
         J = max(K, 1)
         for k in range(K, E):
-            hist[k] = A @ Phi[k]
+            adjoint(Phi[k], hist[k])
             u = Phi[k + 1]
-            u += c_rev[M - 2 - k + J:] @ hist[J:k + 1]
+            # np.dot into a scratch row: the BLAS call of @, without its dispatch
+            u += np.dot(c_rev[M - 2 - k + J:], hist[J:k + 1], out=work)
             if observed:
-                du, m_prev = u - m_prev, u.copy()
-                np.multiply(np.exp(np.dot(h, dV[k]) - hsq * dT[k]), Phi[k] + du, out=u)
-            if u.min() < 0.0:
+                i = k % _SLAB
+                if i == 0:
+                    factor = _observation_factors(dV[k:k + _SLAB], h, hsq, dT[k:k + _SLAB])
+                np.subtract(u, m_prev, out=work)
+                m_prev[:] = u
+                work += Phi[k]
+                np.multiply(factor[i], work, out=u)
+            if np.minimum.reduce(u) < 0.0:
                 neg = u < 0.0
                 clamped += float(-u[neg].sum() * grid.spacing)
                 u[neg] = 0.0

@@ -82,6 +82,13 @@ class TestFrontDoor:
             with pytest.raises(ValueError, match="uniform with a positive step"):
                 InversePath(times=t, values=t)
 
+    def test_record_starting_after_zero_is_refused_by_name(self):
+        # the record itself is valid; solve_zakai names it, not the identity
+        # clock it would build from it
+        obs = ObservationRecord(0.5 + 0.01 * np.arange(11), np.zeros(11))
+        with pytest.raises(ValueError, match="observation record that starts at 0; this one starts at 0.5"):
+            solve_zakai(named_model("ou-linear", 0.5), SpatialGrid(-6.0, 6.0, 48), obs)
+
     def test_step_limit_covers_classical_solves(self, monkeypatch):
         monkeypatch.setattr(zakai_fractional, "_MAX_STEPS", 100)
         model = named_model("ou-linear", 0.5)

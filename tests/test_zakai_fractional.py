@@ -99,14 +99,13 @@ def mittag_leffler_neg(beta, x, nodes=24):
     return (np.exp(s) * s ** (beta - 1.0) / (s ** beta + x) * ds).sum(axis=-1).imag / nodes
 
 
-def exact_fractional_profile(model, grid, t):
-    """E_beta(t^beta A*) p0: the observation-free time-fractional equation,
-    exact in time on the spatial grid (h is ignored).
+def exact_flow(model, grid, decay):
+    """decay(A*) p0 exact on the spatial grid (h is ignored): one row per row of
+    decay(lam), which maps the eigenvalues lam <= 0 of A* to their factors.
 
     The diagonal similarity s_{j+1} / s_j = sqrt(lower_j / upper_j) makes the
-    tridiagonal A* symmetric, eigh_tridiagonal diagonalizes it, and each
-    eigenvalue lam <= 0 enters as E_beta(-t^beta |lam|).  Raises when
-    lower * upper <= 0 somewhere or the model has state jumps."""
+    tridiagonal A* symmetric and eigh_tridiagonal diagonalizes it.  Raises
+    when lower * upper <= 0 somewhere or the model has state jumps."""
     if model.jumps is not None and model.jumps.state_jump_map is not None:
         raise ValueError("the exact reference has no state jumps")
     lower, main, upper = adjoint_diagonals(model, grid)
@@ -115,8 +114,20 @@ def exact_fractional_profile(model, grid, t):
     log_s = np.concatenate(([0.0], np.cumsum(0.5 * np.log(lower / upper))))
     lam, V = eigh_tridiagonal(main, np.sign(lower) * np.sqrt(lower * upper))
     p0 = np.maximum(model.p0(grid.nodes), 0.0)
-    decay = mittag_leffler_neg(model.beta, np.maximum(-lam, 0.0) * t ** model.beta)
-    return np.exp(log_s) * (V @ (decay * (V.T @ (np.exp(-log_s) * p0))))
+    return np.exp(log_s) * ((decay(lam) * (V.T @ (np.exp(-log_s) * p0))) @ V.T)
+
+
+def exact_fractional_profile(model, grid, t):
+    """E_beta(t^beta A*) p0: the observation-free time-fractional equation,
+    exact in time; each eigenvalue lam enters as E_beta(-t^beta |lam|)."""
+    return exact_flow(model, grid, lambda lam: mittag_leffler_neg(
+        model.beta, np.maximum(-lam, 0.0) * t ** model.beta))
+
+
+def exact_classical_profiles(model, grid, taus):
+    """exp(tau A*) p0 for each operational time tau: the observation-free
+    classical flow, exact in time, one row per tau."""
+    return exact_flow(model, grid, lambda lam: np.exp(np.multiply.outer(taus, lam)))
 
 
 @lru_cache(maxsize=1)
@@ -410,6 +421,19 @@ class TestKernelHistory:
         Phi = solve_fractional_zakai(model, GRID, T, obs, memory="kernel")
         assert np.max(np.abs(Phi.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    def test_state_jump_model_matches_direct_history(self):
+        # the stencil gives A* Phi without the jump part, which kernel mode adds
+        # as its own term; the direct history keeps the csr adjoint_matrix
+        base = relaxing_ou(0.5)
+        model = replace(base, jumps=JumpSpec(
+            intensity=2.0, atoms=[(0.3, 0.5), (-0.3, 0.5)],
+            state_jump_map=lambda x, w: np.full_like(np.asanyarray(x, dtype=float), w)))
+        T, obs = kernel_inputs(model, GRID, 100, 1.0, seed=4)
+        ref, _ = direct_kernel_solve(model, GRID, T, obs)
+        Phi = solve_fractional_zakai(model, GRID, T, obs, memory="kernel")
+        assert not np.array_equal(ref, direct_kernel_solve(base, GRID, T, obs)[0])
+        assert np.max(np.abs(Phi.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_working_memory_stays_near_history(self):
         # Phi and the A* Phi history are the solve's two (M, n) arrays; what the
         # FFT history needs on top must stay a fraction of one of them
@@ -441,6 +465,28 @@ class TestExactReference:
     def test_quadrature_is_near_exact(self):
         quadrature, _, exact = criterion_7_legs()
         assert l1_distance(GRID, quadrature, exact) < 2e-7
+
+    @pytest.mark.parametrize("step, bound", [(1e-2, 1.5e-5), (5e-3, 4e-6), (2e-3, 6e-7)])
+    def test_classical_solve_is_near_exact(self, step, bound):
+        # solve_zakai on a zero record is the Crank-Nicolson flow exp(tau A*) p0
+        # up to its time error; worst l1 1.00e-5, 2.51e-6 and 4.01e-7 at these
+        # steps, a second-order fall
+        model = relaxing_ou(0.5, h_zero=True)
+        taus = np.array([0.5, 1.0, 2.0])
+        U = solve_zakai(model, GRID, zero_obs(2.0, step))
+        exact = exact_classical_profiles(model, GRID, taus)
+        assert max(l1_distance(GRID, U.at_time(t), e) for t, e in zip(taus, exact)) < bound
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_clock_member_is_the_exact_flow_at_its_clock(self, seed):
+        # an observation-free clock member is exp(T_t A*) p0 at every node, the
+        # pathwise composition with no time error but the chunks' own; worst
+        # l1 over seeds 0-4 is 4.94e-5 (chunks up to _DTAU_MAX = 0.02)
+        model = relaxing_ou(0.5, h_zero=True)
+        _, T = sample_inverse_path(0.5, 1.0, 1e-2, seed=seed, n_nodes=101)
+        Phi = solve_fractional_zakai(model, GRID, T, zero_obs(float(T.values.max()) + 0.02, 1e-2))
+        exact = exact_classical_profiles(model, GRID, T.values)
+        assert max(l1_distance(GRID, a, b) for a, b in zip(Phi.values, exact)) < 7.5e-5
 
     def test_refuses_state_jumps_and_an_unsymmetrizable_stencil(self):
         base = named_model("ou-linear", 0.5)
