@@ -13,7 +13,8 @@ for a model with an observation-jump channel, its marked events.  _weighted_part
 the one particle filter and the one implementation of the likelihood Lambda,
 marked-event terms included: each particle carries log Lambda along its own
 path.  levy_ext.fractional_filter_jump_obs runs it on any clock T, and the
-Kallianpur-Striebel estimate runs it on the identity clock T_t = t.
+Kallianpur-Striebel estimate runs it on the identity clock T_t = t.  Its steps
+work in place on a few per-particle vectors allocated once per run.
 
 All stochastic integrals are left-point (Ito) sums.  Randomness is counter-based
 (Philox keyed by the seed), and runs are reproducible bit-for-bit.  The
@@ -284,6 +285,13 @@ def _weighted_particles(model: ModelSpec, record: ObservationRecord, dT, f, n_pa
     Memory is O(n_particles) (at most two blocks alive), and a run on the first
     k steps of a record gives the first k + 1 outputs of the full run bit for bit.
 
+    A step works in place: the state and the log-weights are updated where
+    they are, and every product goes into a few n-vectors allocated once, in
+    the operation order of the expressions above, so no array that a model
+    callable, f or g returned is written (any may return the state itself).
+    |h|^2 is one einsum, the sum of the plain expression for one or two
+    observation channels.  A rate multiplier that is negative or NaN raises.
+
     Returns the per-node posterior mean of f, its delta-method standard error,
     the ESS and the log mean raw weight, plus one {residual, se} dict per triple.
     """
@@ -312,20 +320,33 @@ def _weighted_particles(model: ModelSpec, record: ObservationRecord, dT, f, n_pa
     # per test function: g(X_0) plus the running sum of the right-hand terms
     rhs = [np.array(g(y), dtype=float) for g, _, _ in test_functions]
     qv_var = np.zeros(len(test_functions))
+    # the loop's own n-vectors, which every product goes into (see above)
+    wts, hdz, hh, t1, t2 = (np.empty(n_particles) for _ in range(5))
+    L = np.empty(n_particles) if test_functions else None
+    gL = [np.empty(n_particles) for _ in test_functions]
+    sqrt_dT = np.sqrt(dT)
 
-    def summarize(k, y, logw):
+    def summarize(k):
         top = logw.max()
-        w = np.exp(logw - top)
-        wsum = w.sum()
+        np.subtract(logw, top, out=wts)
+        np.exp(wts, out=wts)
+        wsum = wts.sum()
         fy = np.asarray(f(y), dtype=float)
-        mean = float((w * fy).sum() / wsum)
+        np.multiply(wts, fy, out=t1)
+        mean = float(t1.sum() / wsum)
         est[k] = mean
         # delta-method SE of the self-normalized estimator
-        sd[k] = float(np.sqrt(np.sum((w / wsum) ** 2 * (fy - mean) ** 2)))
-        ess[k] = float(wsum ** 2 / np.sum(w ** 2))
+        np.divide(wts, wsum, out=t1)
+        np.square(t1, out=t1)
+        np.subtract(fy, mean, out=t2)
+        np.square(t2, out=t2)
+        np.multiply(t1, t2, out=t1)
+        sd[k] = float(np.sqrt(t1.sum()))
+        np.square(wts, out=t1)
+        ess[k] = float(wsum ** 2 / t1.sum())
         log_mean_w[k] = top + np.log(wsum / n_particles)
 
-    summarize(0, y, logw)
+    summarize(0)
     S = max(1, _NOISE_BLOCK // n_particles)
 
     def draw(k):
@@ -340,39 +361,70 @@ def _weighted_particles(model: ModelSpec, record: ObservationRecord, dT, f, n_pa
                     noise = pending.result()
                 if k + S < M:
                     pending = pool.submit(draw, k + S)
+            dt = dT[k]
             h = model.h_matrix(y)
-            hdz, hh = np.dot(h, dZ[k]), np.sum(h * h, axis=1)
+            np.dot(h, dZ[k], out=hdz)
+            np.einsum("ij,ij->i", h, h, out=hh)
             b, s = model.drift(y), model.sigma(y)
-            L = np.exp(logw) if test_functions else None
-            gL = []
+            if test_functions:
+                np.exp(logw, out=L)
             for i, (g, g1, g2) in enumerate(test_functions):
-                gL.append(np.asarray(g(y), dtype=float) * L)
-                Ag = 0.5 * s ** 2 * np.asarray(g2(y), dtype=float) + b * np.asarray(g1(y), dtype=float)
-                rhs[i] += Ag * L * dT[k] + hdz * gL[i]
-                c = 0.5 * float(np.mean(hh * gL[i]))
-                qv_var[i] += c * c * 2.0 * dT[k] ** 2
-            logw = logw + hdz - 0.5 * hh * dT[k]
+                gl = gL[i]
+                np.multiply(np.asarray(g(y), dtype=float), L, out=gl)
+                # (A g) L dT + h g L dZ, with (A g) = 0.5 s^2 g'' + b g'
+                np.square(s, out=t1)
+                t1 *= 0.5
+                t1 *= np.asarray(g2(y), dtype=float)
+                np.multiply(b, np.asarray(g1(y), dtype=float), out=t2)
+                t1 += t2
+                t1 *= L
+                t1 *= dt
+                np.multiply(hdz, gl, out=t2)
+                t1 += t2
+                rhs[i] += t1
+                np.multiply(hh, gl, out=t2)
+                c = 0.5 * float(t2.sum() / n_particles)
+                qv_var[i] += c * c * 2.0 * dt ** 2
+            # logw + h . dZ - 0.5 |h|^2 dT
+            np.multiply(0.5, hh, out=t1)
+            t1 *= dt
+            logw += hdz
+            logw -= t1
             if rated:
-                for w, p in jumps.atoms:
-                    lam = np.asarray(jumps.obs_rate(times[k], y, w), dtype=float)
-                    if np.any(lam < 0.0):
+                for mark, p in jumps.atoms:
+                    lam = np.asarray(jumps.obs_rate(times[k], y, mark), dtype=float)
+                    if not lam.min() >= 0.0:
                         raise ValueError("rate multiplier must stay nonnegative")
-                    logw = logw + jumps.intensity * p * (1.0 - lam) * dT[k]
+                    rate = jumps.intensity * p
+                    np.subtract(1.0, lam, out=t1)
+                    t1 *= rate
+                    t1 *= dt
+                    logw += t1
                     for r, gl in zip(rhs, gL):
-                        r -= jumps.intensity * p * (lam - 1.0) * gl * dT[k]
-                for (se, w) in ev_at[k]:
-                    lam = np.asarray(jumps.obs_rate(se, y, w), dtype=float)
-                    if np.any(lam < 0.0):
-                        raise ValueError(f"rate multiplier lam < 0 at event ({se}, {w}); log undefined")
+                        np.subtract(lam, 1.0, out=t2)
+                        t2 *= rate
+                        t2 *= gl
+                        t2 *= dt
+                        r -= t2
+                for (se, mark) in ev_at[k]:
+                    lam = np.asarray(jumps.obs_rate(se, y, mark), dtype=float)
+                    if not lam.min() >= 0.0:
+                        raise ValueError(f"rate multiplier lam < 0 at event ({se}, {mark}); "
+                                         "log undefined")
                     # a particle with lam = 0 cannot have produced the event: weight 0
-                    logw = logw + np.log(lam, out=np.full_like(lam, -np.inf), where=lam > 0.0)
+                    logw += np.log(lam, out=np.full_like(lam, -np.inf), where=lam > 0.0)
                     if np.all(logw == -np.inf):
                         raise ValueError(f"no particle with weight has lam > 0 at event "
-                                         f"({se}, {w}); log undefined")
+                                         f"({se}, {mark}); log undefined")
                     for r, gl in zip(rhs, gL):
                         r += (lam - 1.0) * gl
-            y = y + b * dT[k] + s * np.sqrt(dT[k]) * noise[k % S]
-            summarize(k + 1, y, logw)
+            # y + b dT + s sqrt(dT) xi
+            np.multiply(b, dt, out=t1)
+            np.multiply(s, sqrt_dT[k], out=t2)
+            t2 *= noise[k % S]
+            y += t1
+            y += t2
+            summarize(k + 1)
 
     residuals = []
     for (g, _, _), r, qv in zip(test_functions, rhs, qv_var):

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -323,6 +324,17 @@ class TestJumpObservationFilter:
         with pytest.raises(ValueError, match="lam < 0 at event"):
             levy_ext.fractional_filter_jump_obs(m, T, obs, lambda x: x, 200, seed=78)
 
+    def test_nan_rate_raises(self):
+        # a NaN multiplier is no more a rate than a negative one: it would turn
+        # the weights NaN without a word
+        jm = named_model("jump-poisson", 0.5)
+        m = replace(jm, jumps=replace(jm.jumps, obs_rate=lambda t, x, w: np.where(
+            np.asanyarray(x, dtype=float) > 0.0, np.nan, 1.0)))
+        T = unit_slope_inverse(0.1, 1e-2)
+        obs = ObservationRecord(times=T.times, values=np.zeros(len(T.times)))
+        with pytest.raises(ValueError, match="nonnegative"):
+            levy_ext.fractional_filter_jump_obs(m, T, obs, lambda x: x, 200, seed=78)
+
     def test_event_where_some_particles_have_zero_rate(self):
         # lam = 2 1{x > 0}: particles at x <= 0 cannot have produced the event
         # and drop to weight 0; the compensator accepts lam = 0 at the nodes
@@ -357,6 +369,30 @@ class TestJumpObservationFilter:
         assert np.array_equal(part.posterior, full.posterior[:201])
         assert np.array_equal(part.unnormalized, full.unnormalized[:201])
         assert np.array_equal(part.ess, full.ess[:201])
+
+    def test_outputs_are_pinned(self):
+        # 400 steps of a beta = 1/2 clock with 10 marked events and two
+        # residual triples; every output array is pinned by its sha1
+        jm = named_model("jump-poisson", 0.5, rate=5.0)
+        _, T = sample_inverse_path(0.5, 1.0, 1e-3, seed=83, n_nodes=401)
+        X = simulate_time_changed_state_direct(jm, T, seed=84)
+        obs = levy_ext.simulate_jump_observation(jm, X, T, seed=85)
+        assert len(obs.events) == 10
+        f = lambda x: x
+        sech2 = lambda x: 1.0 - np.tanh(x) ** 2
+        res = levy_ext.fractional_filter_jump_obs(
+            jm, T, obs, f, 500, seed=86,
+            residual_test_functions=[(f, np.ones_like, np.zeros_like),
+                                     (np.tanh, sech2, lambda x: -2.0 * np.tanh(x) * sech2(x))])
+        assert res.posterior[-1] == -0.8974631884326035
+        assert res.unnormalized[-1] == -0.8998532341269135
+        assert res.ess[-1] == 82.28613220256183
+        for a, digest in ((res.posterior, "7f0e6653ad8aa394ee00bbae08279444e17d9c8c"),
+                          (res.unnormalized, "4852b24f7e2ac6d95ee1269fe62fe99dc71fc6d7"),
+                          (res.ess, "f3d9cfdbf01a0da7c81e8219a9f2079fc31d98c6")):
+            assert hashlib.sha1(a.tobytes()).hexdigest() == digest
+        assert res.residuals == ({"residual": -0.10893361911608185, "se": 0.319165434189874},
+                                 {"residual": -0.05176653887807373, "se": 0.1646404194262065})
 
     def test_memory_peak_stays_below_twice_the_noise_array(self):
         # state, weights, residual sums and each step's draws are per particle;

@@ -1,3 +1,4 @@
+import hashlib
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -466,6 +467,47 @@ class TestKallianpurStriebel:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    def test_outputs_are_pinned(self):
+        # 400 steps of 500 particles cross a noise block edge; every output
+        # array is pinned by its sha1
+        m = named_model("ou-linear", 0.5)
+        _, Z = simulate_classical_pair(m, 1.0, 2.5e-3, seed=40)
+        est = kallianpur_striebel_estimate(m, Z, lambda x: x, 500, seed=41)
+        assert est.values[-1] == -0.0506301021338233
+        assert est.posterior_sd[-1] == 0.041258845637663216
+        assert est.ess[-1] == 340.4615089705189
+        for a, digest in ((est.values, "8049db84267560f75e6159515b94d23cdf122086"),
+                          (est.posterior_sd, "13bde8323e17516ac9b92a2ceeacdadf9475f230"),
+                          (est.ess, "d671b2d595b2b3772b2dd2ac53ef0e574833cafc")):
+            assert hashlib.sha1(a.tobytes()).hexdigest() == digest
+
+    def test_callables_that_return_their_argument(self):
+        # drift, sigma, h and f may hand back the state array itself: the loop
+        # writes only into arrays of its own, so a model whose callables return
+        # their argument gives the bits of one whose callables copy it
+        def model(same):
+            ret = (lambda x: x) if same else (lambda x: np.array(x, dtype=float))
+            return ModelSpec(drift=ret, sigma=ret, observation=ret, beta=0.5,
+                             p0=gaussian_density(0.0, 1.0))
+
+        jm = named_model("jump-poisson", 0.5, rate=5.0)
+        T = unit_slope_inverse(0.5, 1e-2)
+        obs = simulate_jump_observation(jm, simulate_time_changed_state_direct(jm, T, seed=44),
+                                        T, seed=45)
+        assert len(obs.events) > 0
+        runs = []
+        for same in (True, False):
+            m = replace(model(same), jumps=jm.jumps)
+            ret = model(same).drift
+            ks = kallianpur_striebel_estimate(m, obs, ret, 300, seed=46)
+            jf = fractional_filter_jump_obs(m, T, obs, ret, 300, seed=46,
+                                            residual_test_functions=[(ret, np.ones_like,
+                                                                      np.zeros_like)])
+            runs.append((ks.values, ks.posterior_sd, ks.ess, jf.posterior, jf.unnormalized,
+                         jf.ess, np.array([jf.residuals[0]["residual"], jf.residuals[0]["se"]])))
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
 
     def test_particle_floor(self):
         m = named_model("ou-linear", 0.5)

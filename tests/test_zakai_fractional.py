@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
@@ -289,6 +290,77 @@ class TestClockLoopPinned:
         assert Phi.values[250, 22] == 0.2021505331233749
         assert Phi.values[500, 24] == 0.32672805323379456
         assert Phi.values[500, 30] == 0.1316541907811697
+
+    def test_observation_free_members(self):
+        # an ensemble-shape member (101 nodes, 48 cells): seed 6 has 93 steps
+        # below 1e-4 and 6 of several chunks; the same clock delayed by ten
+        # steps and floored to multiples of 0.01 has a leading plateau and 94
+        # flat steps.  Every row of both solves is pinned by its sha1
+        model = relaxing_ou(0.5, h_zero=True)
+        _, T = sample_inverse_path(0.5, 1.0, 1e-2, seed=6, n_nodes=101)
+        delayed = np.concatenate((np.zeros(10), T.values[:-10]))
+        flat = InversePath(times=T.times, values=np.floor(delayed / 0.01) * 0.01)
+        assert np.count_nonzero(flat.increments[:10]) == 0
+        zeros = zero_obs(2.0, 1e-2)
+        for clock, digest, value in (
+                (T, "3a989ad1674163ede2b954eb308e61c6fae16696", 0.23264698751263801),
+                (flat, "e78f4d5b1cf3633dbab2459245c5b84107424717", 0.23281897999526596)):
+            Phi = solve_fractional_zakai(model, GRID, clock, zeros)
+            assert Phi.clamped_mass == 0.0
+            assert Phi.values[100, 30] == value
+            assert hashlib.sha1(Phi.values.tobytes()).hexdigest() == digest
+
+
+class TestClockEdges:
+    """Clocks that stay at 0, for a while or throughout, and the working
+    memory of a solve of several chunk blocks."""
+
+    @pytest.mark.parametrize("c", [1.0, 0.0])
+    def test_clock_that_never_leaves_zero(self, c):
+        # no chunk at all: every row is the clamped initial density
+        model = named_model("ou-linear", 0.5, c=c)
+        T = InversePath(times=np.linspace(0.0, 1.0, 11), values=np.zeros(11))
+        Phi = solve_fractional_zakai(model, GRID, T, zero_obs(0.1, 1e-2))
+        p0 = np.maximum(model.p0(GRID.nodes), 0.0)
+        assert Phi.clamped_mass == 0.0
+        assert np.array_equal(Phi.values, np.broadcast_to(p0, Phi.values.shape))
+
+    @pytest.mark.parametrize("c", [1.0, 0.0])
+    def test_clock_flat_on_a_leading_stretch(self, c):
+        # T = 0 on [0, 0.3], then it rises: the rows up to 0.3 are p0, and the
+        # rest are the solve on the clock that starts rising at once
+        model = named_model("ou-linear", 0.5, c=c)
+        _, Z = simulate_classical_pair(model, 1.0, 1e-2, seed=58)
+        times = np.linspace(0.0, 1.0, 11)
+        vals = np.maximum(np.arange(11) - 3, 0) * 0.13
+        Phi = solve_fractional_zakai(model, GRID, InversePath(times=times, values=vals), Z)
+        rising = InversePath(times=times[:8], values=vals[3:])
+        ref = solve_fractional_zakai(model, GRID, rising, Z)
+        p0 = np.maximum(model.p0(GRID.nodes), 0.0)
+        assert np.array_equal(Phi.values[:4], np.broadcast_to(p0, (4, GRID.n_nodes)))
+        assert np.array_equal(Phi.values[3:], ref.values)
+        assert Phi.clamped_mass == ref.clamped_mass
+
+    def test_working_memory_is_one_chunk_block(self):
+        # 400 steps of two chunks each on 801 nodes: 800 chunks, more than
+        # three blocks.  Beyond Phi the solve may hold one block's four
+        # (_CHUNK_BLOCK, n) arrays (factors and three diagonals) and a little
+        # more, not two blocks at once
+        grid = SpatialGrid(-8.0, 8.0, 800)
+        model = named_model("ou-linear", 0.5)
+        M = 400
+        times = 1e-2 * np.arange(M + 1)
+        T = InversePath(times=times, values=0.04 * np.arange(M + 1))
+        _, Z = simulate_classical_pair(model, 0.04 * M + 0.02, 1e-2, seed=59)
+        block = zf._CHUNK_BLOCK * grid.n_nodes * 8
+        assert 2 * M > 3 * zf._CHUNK_BLOCK
+        tracemalloc.start()
+        try:
+            Phi = solve_fractional_zakai(model, grid, T, Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - Phi.values.nbytes < 4.5 * block
 
 
 class TestKernelMode:
