@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import filecmp
 import functools
+import json
 import math
 import os
 import tempfile
@@ -63,12 +64,24 @@ class CheckResult:
     passed: bool
     runtime_s: float
     details: dict = field(default_factory=dict)
+    budget_s: float = math.inf
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         extras = ", ".join(f"{k}={v:.3g}" if isinstance(v, float) else f"{k}={v}"
                            for k, v in self.details.items())
         return f"criterion {self.number:02d} {status}  {self.name}  ({self.runtime_s:.1f}s)  [{extras}]"
+
+    def as_json(self) -> str:
+        """One JSON object: the result, its budget and the margin runtime_s / budget_s,
+        both null where the budget is not finite and positive."""
+        finite = 0.0 < self.budget_s < math.inf
+        return json.dumps({
+            "number": self.number, "name": self.name, "passed": self.passed,
+            "details": self.details, "runtime_s": self.runtime_s,
+            "budget_s": self.budget_s if finite else None,
+            "margin": self.runtime_s / self.budget_s if finite else None,
+        }, default=lambda v: v.item())   # numpy scalars in details
 
 
 def _panel_quad(fn, lo: float, hi: float, panels: int = 8, order: int = 64) -> float:
@@ -98,7 +111,7 @@ def _criterion(number: int, name: str, budget_s: float = math.inf):
             t0 = clock()
             passed, details = body()
             rt = clock() - t0
-            return CheckResult(number, name, bool(passed) and rt < budget_s, rt, details)
+            return CheckResult(number, name, bool(passed) and rt < budget_s, rt, details, budget_s)
 
         run.number = number
         run.budget_s = budget_s
@@ -488,13 +501,15 @@ def criterion_11():
     return identical and produced > 0, {"csv_files_compared": produced}
 
 
-def run_all(only=None, verbose: bool = False) -> list[CheckResult]:
+def run_all(only=None, report=None) -> list[CheckResult]:
+    """Run the criteria numbered in only (all by default), calling report(result)
+    as each one finishes."""
     results = []
     for fn in ALL_CRITERIA:
         if only is not None and fn.number not in only:
             continue
         res = fn()
         results.append(res)
-        if verbose:
-            print(res.line(), flush=True)
+        if report is not None:
+            report(res)
     return results

@@ -1,4 +1,5 @@
-"""Experiment runner: `fracfilt run <config> [--seed N] [--out DIR]` and `fracfilt check`.
+"""Experiment runner: `fracfilt run <config> [--seed N] [--out DIR]` and
+`fracfilt check [--only N,M] [--json]`.
 
 Every run writes CSV artifacts plus a `run_summary.txt` of key = value pairs
 including tolerances and pass flags; the process exits 0 only when every
@@ -280,6 +281,8 @@ def main(argv=None) -> int:
     checkp = sub.add_parser("check", help="run the built-in acceptance suite")
     checkp.add_argument("--only", type=_criterion_numbers, default=None,
                         help="comma-separated criterion numbers")
+    checkp.add_argument("--json", action="store_true",
+                        help="one JSON object per criterion, with its budget and margin")
     args = parser.parse_args(argv)
 
     if args.command == "run":
@@ -307,7 +310,8 @@ def main(argv=None) -> int:
         return status
 
     if args.command == "check":
-        results = acceptance.run_all(only=args.only, verbose=True)
+        show = acceptance.CheckResult.as_json if args.json else acceptance.CheckResult.line
+        results = acceptance.run_all(only=args.only, report=lambda r: print(show(r), flush=True))
         return 0 if all(r.passed for r in results) else 1
 
     parser.print_help()

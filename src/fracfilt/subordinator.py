@@ -276,6 +276,21 @@ def sample_inverse_path(beta: float, horizon: float, op_step: float, seed,
 # densities
 # ---------------------------------------------------------------------------
 
+def _split(mask: np.ndarray, on, off, *args: np.ndarray) -> np.ndarray:
+    """on(*args) where mask holds and off(*args) elsewhere, each called on its own
+    points only; a mask that is all true or all false sends the whole arrays to
+    one of them, with no gather or scatter.  Callers pass functions whose value
+    at a point does not depend on the other points of the batch."""
+    if mask.all():
+        return on(*args)
+    if not mask.any():
+        return off(*args)
+    out = np.empty(mask.shape)
+    out[mask] = on(*(a[mask] for a in args))
+    out[~mask] = off(*(a[~mask] for a in args))
+    return out
+
+
 def _zolotarev_quadrature(y: np.ndarray, beta: float) -> np.ndarray:
     """I(y) = int_0^pi a(phi) exp(-(a(phi) - a0) y) dphi at y > 0 by segmented GL.
 
@@ -347,6 +362,18 @@ def _zolotarev_integral(y: np.ndarray, beta: float) -> np.ndarray:
     if table is None:
         return _zolotarev_quadrature(y, beta)
     lo, width, coef = table
+    if y.size == 1:
+        # the same steps in Python floats, whose +, - and * round as numpy's
+        # element-wise float64 ops do; log and exp stay numpy calls, which may
+        # differ from libm in the last bit
+        s = max((np.log(y).item() - float(lo)) / float(width), 0.0)
+        p = min(int(s), _CHEB_PANELS - 1)
+        x2 = 4.0 * (s - p) - 2.0
+        col = coef[:, p].tolist()
+        b1 = b2 = 0.0
+        for c in col[:0:-1]:
+            b1, b2 = c + x2 * b1 - b2, b1
+        return np.exp(np.array([col[0] + 0.5 * x2 * b1 - b2]))
     s = np.maximum((np.log(y) - lo) / width, 0.0)
     p = np.minimum(s.astype(np.intp), _CHEB_PANELS - 1)
     x2 = 4.0 * (s - p) - 2.0
@@ -366,17 +393,24 @@ def _stable_density_integral(u: np.ndarray, beta: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         y = u ** (-beta / (1.0 - beta))
     a0 = _a_zero(beta)
-    out = np.zeros_like(u)
+    pref = beta / ((1.0 - beta) * np.pi)
     # Eq-(10)-style super-exponential decay: below the double underflow threshold
     # the density is returned as exact 0
-    live = np.isfinite(y) & (a0 * y <= _LOG_TINY)
-    if not live.any():
-        return out
-    yl = y[live]
-    pref = beta / ((1.0 - beta) * np.pi)
-    out[live] = (pref * u[live] ** (-1.0 / (1.0 - beta)) * np.exp(-a0 * yl)
-                 * _zolotarev_integral(yl, beta))
-    return out
+    return _split(np.isfinite(y) & (a0 * y <= _LOG_TINY),
+                  lambda u, y: (pref * u ** (-1.0 / (1.0 - beta)) * np.exp(-a0 * y)
+                                * _zolotarev_integral(y, beta)),
+                  lambda u, y: np.zeros_like(u), u, y)
+
+
+@lru_cache(maxsize=16)
+def _series_coefficients(beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log(Gamma(k b + 1)/k!), k b + 1, (-1)^(k+1) sin(pi k b)) for k = 1.._SERIES_TERMS."""
+    k = np.arange(1, _SERIES_TERMS + 1)
+    logc = gammaln(k * beta + 1.0) - gammaln(k + 1.0)
+    power = k * beta + 1.0
+    sgn = (-1.0) ** (k + 1) * np.sin(np.pi * k * beta)
+    logc.flags.writeable = power.flags.writeable = sgn.flags.writeable = False
+    return logc, power, sgn
 
 
 def _stable_density_series(u: np.ndarray, beta: float) -> np.ndarray:
@@ -385,10 +419,8 @@ def _stable_density_series(u: np.ndarray, beta: float) -> np.ndarray:
     f(u) = (1/pi) sum_{k>=1} (-1)^(k+1) Gamma(k b + 1)/k! sin(pi k b) u^(-k b - 1);
     used where u**(-beta) <= 0.7, which keeps the term ratio below ~0.7.
     """
-    k = np.arange(1, _SERIES_TERMS + 1)
-    logc = gammaln(k * beta + 1.0) - gammaln(k + 1.0)
-    sgn = (-1.0) ** (k + 1) * np.sin(np.pi * k * beta)
-    arg = logc - (k * beta + 1.0) * np.log(u)[..., None]
+    logc, power, sgn = _series_coefficients(beta)
+    arg = logc - power * np.log(u)[..., None]
     return (sgn * np.exp(np.minimum(arg, 700.0))).sum(axis=-1) / np.pi
 
 
@@ -412,15 +444,12 @@ def stable_density(beta: float, u) -> np.ndarray | float:
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if not np.all(u_arr > 0.0):
         raise ValueError("stable_density requires u > 0")
-    out = np.empty_like(u_arr)
     switch = _series_switch(beta)
     with np.errstate(over="ignore", under="ignore"):
         y = u_arr ** (-beta / (1.0 - beta))
-    big = (u_arr >= switch) | ((u_arr > 1.0) & (y == 0.0))
-    if big.any():
-        out[big] = _stable_density_series(u_arr[big], beta)
-    if (~big).any():
-        out[~big] = _stable_density_integral(u_arr[~big], beta)
+    out = _split((u_arr >= switch) | ((u_arr > 1.0) & (y == 0.0)),
+                 lambda u: _stable_density_series(u, beta),
+                 lambda u: _stable_density_integral(u, beta), u_arr)
     return out if np.ndim(u) else float(out[0])
 
 
@@ -440,17 +469,13 @@ def inverse_density_grid(beta: float, t, tau) -> np.ndarray:
         raise ValueError("inverse_density_grid requires t > 0")
     if not np.all(tau_arr >= 0.0):
         raise ValueError("inverse_density_grid requires tau >= 0")
-    out = np.empty(t_arr.shape)
     # the boundary value is also used for tau so small that t/tau^(1/beta)
     # would overflow; g extends continuously to tau = 0
-    tiny = tau_arr ** (1.0 / beta) < t_arr * 1e-250
-    if tiny.any():
-        out[tiny] = t_arr[tiny] ** (-beta) / gamma(1.0 - beta)
-    rest = ~tiny
-    if rest.any():
-        tr, taur = t_arr[rest], tau_arr[rest]
-        x = tr / taur ** (1.0 / beta)
-        out[rest] = tr / (beta * taur ** (1.0 + 1.0 / beta)) * stable_density(beta, x)
+    out = _split(tau_arr ** (1.0 / beta) < t_arr * 1e-250,
+                 lambda t, tau: t ** (-beta) / gamma(1.0 - beta),
+                 lambda t, tau: (t / (beta * tau ** (1.0 + 1.0 / beta))
+                                 * stable_density(beta, t / tau ** (1.0 / beta))),
+                 t_arr, tau_arr)
     return out.reshape(shape)
 
 

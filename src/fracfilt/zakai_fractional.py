@@ -285,6 +285,7 @@ def _solve_clock(model, grid, T, obs):
                       for base, p in ((0.0, s * lower), (0.5, s * main), (0.0, s * upper))]
         return zip(dl, dd, du, factor, (0.5 * delta[rows]).tolist(), last[rows].tolist())
 
+    dx = grid.spacing
     u = np.maximum(np.asarray(model.p0(x), dtype=float), 0.0)
     Phi = np.empty((len(T.times), n))
     done = int(np.searchsorted(first[1:], 0, side="right"))   # leading plateau steps
@@ -300,7 +301,7 @@ def _solve_clock(model, grid, T, obs):
                 v *= factor
             u = v
             if upto > done:
-                clamped += _clamp(u, grid.spacing)
+                clamped += _clamp(u, dx)
                 Phi[done + 1:upto + 1] = u
                 done = upto
     return FilterDensityGrid(grid=grid, times=T.times.copy(), values=Phi, clamped_mass=clamped)
@@ -345,6 +346,7 @@ def _solve_kernel(model, grid, T, obs):
         )
     x = grid.nodes
     n = grid.n_nodes
+    dx = grid.spacing
     h = model.h_matrix(x)
     hsq = 0.5 * np.sum(h * h, axis=1)
     observed = bool(np.any(h))
@@ -416,7 +418,7 @@ def _solve_kernel(model, grid, T, obs):
                 m_prev[:] = u
                 work += Phi[k]
                 np.multiply(factor[i], work, out=u)
-            clamped += _clamp(u, grid.spacing)
+            clamped += _clamp(u, dx)
     return FilterDensityGrid(grid=grid, times=T.times.copy(), values=Phi, clamped_mass=clamped)
 
 

@@ -1,6 +1,8 @@
 """Acceptance gate: every criterion runs at its stated tolerance and prints one
 pass/fail line; the suite fails if any criterion fails."""
 
+import json
+
 import pytest
 
 from fracfilt import acceptance
@@ -33,6 +35,10 @@ def test_runner_fails_a_criterion_past_its_budget(monkeypatch, budget_s, passed)
     assert result.passed is passed
     assert (result.number, result.name, result.details) == (99, "probe", {"value": 1.5})
     assert result.runtime_s >= 0.0 and criterion_99.__name__ == "criterion_99"
+    # JSON has no infinity: a budget of 0 or inf gives a null budget and margin
+    record = json.loads(result.as_json())
+    assert record["details"] == {"value": 1.5} and record["passed"] is passed
+    assert record["budget_s"] is None and record["margin"] is None
     assert acceptance.ALL_CRITERIA == [criterion_99]
     monkeypatch.undo()
     assert acceptance.ALL_CRITERIA == registered

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -430,6 +431,18 @@ class TestCLIEntry:
         assert main(["check", "--only", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("criterion 01 PASS")
+
+    def test_check_json_prints_one_object_per_criterion(self, capsys):
+        assert main(["check", "--only", "1", "--json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        result = json.loads(lines[0])
+        assert set(result) == {"number", "name", "passed", "details", "runtime_s",
+                               "budget_s", "margin"}
+        assert (result["number"], result["passed"], result["budget_s"]) == (1, True, 10.0)
+        assert result["details"]["tolerance"] == 1e-6
+        assert 0.0 < result["details"]["scaled_error"] < 1e-6
+        assert result["margin"] == result["runtime_s"] / 10.0
 
     def test_unknown_model_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"

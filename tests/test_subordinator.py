@@ -285,16 +285,23 @@ class TestStableDensity:
         assert resolved.sum() > 1900
         assert np.max(np.abs(got[resolved] - exact[resolved]) / exact[resolved]) < 1e-12
 
-    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("beta", [0.001, 0.3, 0.5, 0.8, 0.995])
     def test_batch_equals_point_by_point(self, beta):
-        # 300 points span several evaluation blocks; blocking must not change values
-        u = np.geomspace(0.01, 0.999 * subordinator._series_switch(beta), 300)
+        # 300 integral-branch points span several evaluation blocks, and 40 more
+        # sit on the series branch; neither the blocking, the one-point Clenshaw
+        # sum nor the split into branches may change a bit (0.995 has no table,
+        # and its density underflows below u = 0.94)
+        switch = subordinator._series_switch(beta)
+        lo = 0.9 if beta > 0.99 else 0.01
+        u = np.concatenate([np.geomspace(lo, 0.999 * switch, 300),
+                            switch * np.geomspace(1.0, 1e3, 40)])
+        series = u >= switch
         batch = stable_density(beta, u)
         single = np.array([stable_density(beta, x) for x in u])
-        assert np.array_equal(batch == 0.0, single == 0.0)
-        live = single != 0.0
-        assert live.sum() > 100
-        assert np.max(np.abs(batch[live] - single[live]) / single[live]) <= 1e-14
+        assert np.array_equal(batch, single)
+        assert np.array_equal(stable_density(beta, u[series]), batch[series])
+        assert np.array_equal(stable_density(beta, u[~series]), batch[~series])
+        assert (single[~series] != 0.0).sum() > 100
 
     @pytest.mark.parametrize("beta", [0.001, 0.02, 0.3, 0.5, 0.8, 0.95, 0.99])
     def test_chebyshev_table_matches_its_quadrature(self, beta):
@@ -380,6 +387,23 @@ class TestInverseDensity:
             hi = tau_cutoff(beta, t, 1e-14)
             val, _ = quad(lambda x: inverse_density_grid(beta, t, x)[()], 0.0, hi, limit=300)
             assert abs(val - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("beta", [0.001, 0.3, 0.5, 0.8, 0.995])
+    def test_batch_equals_point_by_point(self, beta):
+        # tau = 0, a tau that takes the boundary value, and tau whose
+        # t / tau^(1/beta) lies on each branch of stable_density
+        switch = subordinator._series_switch(beta)
+        u = np.concatenate([np.geomspace(0.01, 0.999 * switch, 30),
+                            switch * np.geomspace(1.0, 1e3, 20)])
+        t = np.array([0.5, 1.0, 2.0])[:, None]
+        tau = np.concatenate([np.zeros((3, 1)), np.full((3, 1), 1e-260), (t / u) ** beta], axis=1)
+        t = np.broadcast_to(t, tau.shape)
+        x = t[:, 2:] / tau[:, 2:] ** (1.0 / beta)
+        assert (x >= switch).any() and (x < switch).any()
+        batch = inverse_density_grid(beta, t, tau)
+        single = np.array([inverse_density_grid(beta, a, b) for a, b in zip(t.ravel(), tau.ravel())])
+        assert np.array_equal(batch.ravel(), single)
+        assert np.array_equal(batch[:, 1], t[:, 1] ** (-beta) / gamma(1.0 - beta))
 
     def test_nonnegative_and_vanishing_tail(self):
         taus = np.linspace(0.0, 6.0, 200)

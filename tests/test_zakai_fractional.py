@@ -529,6 +529,16 @@ class TestExactReference:
         x = np.concatenate(([0.0], np.geomspace(1e-6, 1e4, 400)))
         assert np.max(np.abs(mittag_leffler_neg(0.5, x) - erfcx(x))) < 1e-13
 
+    def test_mittag_leffler_at_one_is_exp(self):
+        x = np.linspace(0.0, 30.0, 601)
+        assert np.max(np.abs(mittag_leffler_neg(1.0, x) - np.exp(-x))) < 1e-13
+        # just below beta = 1 the gap is first order in 1 - beta: 3.72e-4 at
+        # 1e-3 and 3.72e-5 at 1e-4
+        slope = [np.max(np.abs(mittag_leffler_neg(1.0 - eps, x) - np.exp(-x))) / eps
+                 for eps in (1e-3, 1e-4)]
+        assert slope[0] == pytest.approx(slope[1], rel=1e-2)
+        assert 0.3 < slope[1] < 0.45
+
     def test_kernel_profile_is_near_exact(self):
         _, kernel, exact = criterion_7_legs()
         assert abs(GRID.integrate(exact) - 1.0) < 1e-12
