@@ -95,6 +95,41 @@ def _panel_quad(fn, lo: float, hi: float, panels: int = 8, order: int = 64) -> f
     return total
 
 
+# pass rules that `fracfilt run` kinds share with a criterion
+CLOSED_FORM_TOL = 1e-6       # criterion 1, run = density: beta = 1/2 scaled error
+PATHWISE_L1_TOL = 5e-2       # criterion 6, run = oracle: l1 at each checkpoint
+SUBORDINATION_L1_TOL = 1e-2  # criterion 7, run = subordinate: l1 to the quadrature
+RESIDUAL_Z_TOL = 3.0         # criterion 10(d), run = jump-filter: |residual| / se below this
+
+
+def density_table(beta: float):
+    """(T, TAU, G, err): g_t(tau) on the 100 x 100 (t, tau) table, and its scaled
+    error from the beta = 1/2 closed form, or None at any other beta."""
+    ts = np.linspace(0.05, 2.0, 100)
+    taus = np.linspace(0.0, 4.0, 100)
+    T, TAU = np.meshgrid(ts, taus, indexing="ij")
+    G = inverse_density_grid(beta, T.ravel(), TAU.ravel()).reshape(T.shape)
+    if abs(beta - 0.5) >= 1e-12:
+        return T, TAU, G, None
+    exact = np.exp(-TAU ** 2 / (4.0 * T)) / np.sqrt(np.pi * T)
+    return T, TAU, G, float(np.max(np.abs(G - exact)) / exact.max())
+
+
+def jump_residual_filter(model: ModelSpec, T: InversePath, n_particles: int, seed: int):
+    """(X, obs, res, z): a state path on the clock T, its jump observation, the
+    jump-observation filter of f(x) = x with the equation residual of that f, and
+    the residual's |residual| / se; the draws use seeds seed, seed + 1 and seed + 2."""
+    X = simulate_time_changed_state_direct(model, T, seed)
+    obs = levy_ext.simulate_jump_observation(model, X, T, seed + 1)
+    f = lambda x: x
+    res = levy_ext.fractional_filter_jump_obs(
+        model, T, obs, f, n_particles, seed + 2,
+        residual_test_functions=[(f, lambda x: np.ones_like(x), lambda x: np.zeros_like(x))],
+    )
+    r = res.residuals[0]
+    return X, obs, res, float(abs(r["residual"]) / max(r["se"], 1e-300))
+
+
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
@@ -124,13 +159,8 @@ def _criterion(number: int, name: str, budget_s: float = math.inf):
 @_criterion(1, "inverse-density closed form (beta=1/2)", budget_s=10.0)
 def criterion_1():
     """beta = 1/2 closed form of the inverse density on a 100 x 100 (t, tau) grid."""
-    ts = np.linspace(0.05, 2.0, 100)
-    taus = np.linspace(0.0, 4.0, 100)
-    T, TAU = np.meshgrid(ts, taus, indexing="ij")
-    G = inverse_density_grid(0.5, T.ravel(), TAU.ravel()).reshape(T.shape)
-    exact = np.exp(-TAU ** 2 / (4.0 * T)) / np.sqrt(np.pi * T)
-    err = float(np.max(np.abs(G - exact)) / exact.max())
-    return err < 1e-6, {"scaled_error": err, "tolerance": 1e-6}
+    err = density_table(0.5)[3]
+    return err < CLOSED_FORM_TOL, {"scaled_error": err, "tolerance": CLOSED_FORM_TOL}
 
 
 @_criterion(2, "boundary, Laplace, and normalization suite for g_t", budget_s=60.0)
@@ -279,8 +309,8 @@ def criterion_6():
     Phi = solve_fractional_zakai(model, grid, T, Z)
     rows = pathwise_oracle_report(Phi, U, T, [0.25, 0.5, 1.0])
     worst = max(r["l1"] for r in rows)
-    tol = 5e-2
-    return worst < tol, {"worst_l1": worst, "tolerance": tol, "tau_max": tau_max}
+    return worst < PATHWISE_L1_TOL, {"worst_l1": worst, "tolerance": PATHWISE_L1_TOL,
+                                     "tau_max": tau_max}
 
 
 @_criterion(7, "subordination identity (quadrature vs ensemble vs kernel solver)",
@@ -303,7 +333,7 @@ def criterion_7():
     ens = total / n_solves
     dist_ens = l1_distance(grid, quadr, ens)
     dist_kernel = l1_distance(grid, quadr, kernel.at_time(t_eval))
-    tol = 1e-2
+    tol = SUBORDINATION_L1_TOL
     return (dist_ens < tol and dist_kernel < tol,
             {"l1_ensemble": dist_ens, "l1_kernel": dist_kernel, "tolerance": tol})
 
@@ -437,22 +467,15 @@ def criterion_10():
 
     # (d) equation residual of the jump-observation filter on f(x) = x
     _, T = sample_inverse_path(beta, 1.0, 1e-3, seed=909, n_nodes=2001)
-    X = simulate_time_changed_state_direct(jm, T, seed=910)
-    obs = levy_ext.simulate_jump_observation(jm, X, T, seed=911)
-    f = lambda x: x
-    res = levy_ext.fractional_filter_jump_obs(
-        jm, T, obs, f, n_particles=4000, seed=912,
-        residual_test_functions=[(f, lambda x: np.ones_like(x), lambda x: np.zeros_like(x))],
-    )
-    r = res.residuals[0]
-    z_resid = abs(r["residual"]) / max(r["se"], 1e-300)
-    details["equation_residual_z"] = float(z_resid)
-    ok &= z_resid < 3.0
+    _, obs, _, z_resid = jump_residual_filter(jm, T, n_particles=4000, seed=910)
+    details["equation_residual_z"] = z_resid
+    ok &= z_resid < RESIDUAL_Z_TOL
 
     # nu = 0 degeneration: filter equals the continuous-observation filter of
     # the channel-free model on the time-changed pair, same seed, to machine precision
     nu0 = replace(jm, jumps=JumpSpec(intensity=0.0, atoms=[(1.0, 1.0)], obs_rate=jm.jumps.obs_rate))
     obs0 = ObservationRecord(times=T.times, values=obs.values)
+    f = lambda x: x
     res0 = levy_ext.fractional_filter_jump_obs(nu0, T, obs0, f, n_particles=500, seed=321)
     cont = levy_ext.fractional_filter_jump_obs(replace(jm, jumps=None), T, obs0, f,
                                                n_particles=500, seed=321)

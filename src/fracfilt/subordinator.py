@@ -469,14 +469,24 @@ def inverse_density_grid(beta: float, t, tau) -> np.ndarray:
         raise ValueError("inverse_density_grid requires t > 0")
     if not np.all(tau_arr >= 0.0):
         raise ValueError("inverse_density_grid requires tau >= 0")
-    # the boundary value is also used for tau so small that t/tau^(1/beta)
-    # would overflow; g extends continuously to tau = 0
-    out = _split(tau_arr ** (1.0 / beta) < t_arr * 1e-250,
-                 lambda t, tau: t ** (-beta) / gamma(1.0 - beta),
-                 lambda t, tau: (t / (beta * tau ** (1.0 + 1.0 / beta))
-                                 * stable_density(beta, t / tau ** (1.0 / beta))),
-                 t_arr, tau_arr)
+    # the boundary value is also used for tau so small that t/tau^(1/beta) or
+    # the prefactor would overflow; g extends continuously to tau = 0
+    with np.errstate(over="ignore", divide="ignore"):
+        pref = t_arr / (beta * tau_arr ** (1.0 + 1.0 / beta))
+    out = _split((tau_arr ** (1.0 / beta) < t_arr * 1e-250) | np.isinf(pref),
+                 lambda t, tau, pref: t ** (-beta) / gamma(1.0 - beta),
+                 lambda t, tau, pref: pref * stable_density(beta, t / tau ** (1.0 / beta)),
+                 t_arr, tau_arr, pref)
     return out.reshape(shape)
+
+
+def _tail_constants(beta: float, t: float) -> tuple[float, float, float]:
+    """(beta, c, C) for checked beta and t, of the tail envelope
+    C exp(-c tau^(1/(1-b)) / t^(b/(1-b))): c = a(0+), and C bounds g by its
+    tau -> 0 limit scale times a margin."""
+    beta = _check_beta(beta)
+    _check_time(t)
+    return beta, _a_zero(beta), 10.0 * (1.0 + t ** (-beta) / gamma(1.0 - beta))
 
 
 def tail_bound(beta: float, t: float, tau) -> np.ndarray | float:
@@ -487,25 +497,18 @@ def tail_bound(beta: float, t: float, tau) -> np.ndarray | float:
     factor, g_t(tau) ~ C exp(-(1-beta) beta^(b/(1-b)) tau^(1/(1-b)) / t^(b/(1-b))).
     Used to truncate integrals over tau once the bound drops below tolerance.
     """
-    beta = _check_beta(beta)
-    _check_time(t)
+    beta, c, pref = _tail_constants(beta, t)
     tau = np.asarray(tau, dtype=float)
-    c = _a_zero(beta)
     expo = c * tau ** (1.0 / (1.0 - beta)) / t ** (beta / (1.0 - beta))
-    # prefactor bound: g is bounded by its tau -> 0 limit scale times a margin
-    pref = 10.0 * (1.0 + t ** (-beta) / gamma(1.0 - beta))
     with np.errstate(over="ignore"):
         return pref * np.exp(-np.minimum(expo, _LOG_TINY))
 
 
 def tau_cutoff(beta: float, t: float, tol: float = 1e-12) -> float:
     """Smallest tau beyond which tail_bound(beta, t, tau) < tol."""
-    beta = _check_beta(beta)
-    _check_time(t)
+    beta, c, pref = _tail_constants(beta, t)
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    c = _a_zero(beta)
-    pref = 10.0 * (1.0 + t ** (-beta) / gamma(1.0 - beta))
     # a tol at or above the bound's value at tau = 0 is met everywhere
     return float((max(np.log(pref / tol), 0.0) / c) ** (1.0 - beta) * t ** beta)
 

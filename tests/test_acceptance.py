@@ -42,3 +42,12 @@ def test_runner_fails_a_criterion_past_its_budget(monkeypatch, budget_s, passed)
     assert acceptance.ALL_CRITERIA == [criterion_99]
     monkeypatch.undo()
     assert acceptance.ALL_CRITERIA == registered
+
+
+@pytest.mark.parametrize("name,criterion", [("CLOSED_FORM_TOL", acceptance.criterion_1),
+                                            ("PATHWISE_L1_TOL", acceptance.criterion_6)])
+def test_criterion_reads_the_tolerance_its_run_kind_shares(monkeypatch, name, criterion):
+    # `fracfilt run` reads the same name (tests/test_config_cli.py), so one edit moves both
+    monkeypatch.setattr(acceptance, name, 0.0)
+    result = criterion()
+    assert not result.passed and result.details["tolerance"] == 0.0

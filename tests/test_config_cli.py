@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fracfilt import cli, config
+from fracfilt import acceptance, cli, config
 from fracfilt.cli import main, run_experiment
 from fracfilt.config import ConfigError, ExperimentConfig, compile_expression, parse_config
 
@@ -179,7 +180,75 @@ class TestParseConfig:
                    for f in fields(ExperimentConfig) if f.name != name)
 
 
+# sha1 of every file each run writes, recorded before the run kinds were moved
+# onto the acceptance module's shared helpers (numpy 2.4.6, scipy 1.17.1, x86-64)
+_PINNED_RUNS = {
+    "density-0.5": ("run = density\nbeta = 0.5\nseed = 7\n", {
+        "g_density.csv": "b5f5041f48d88f6cb4bf30d544cd267027e31891",
+        "run_summary.txt": "58f0d44af899dc8ec41be28615472b1fadf6ae8f"}),
+    "density-0.3": ("run = density\nbeta = 0.3\nseed = 7\n", {
+        "g_density.csv": "1f3b93a07aed8c9b6d2160e616feca7f8ec46cfe",
+        "run_summary.txt": "f125de7ca17dca89c1aba061ad06210078ca495e"}),
+    "simulate": ("run = simulate\nbeta = 0.5\nseed = 9\nstep = 0.01\nhorizon = 0.5\n", {
+        "paths.csv": "f5919fc3db9158e37a9c3df94dab0a63f2d9857a",
+        "run_summary.txt": "58f84d84e7159d7068d70d6773908ccdf04ceb97"}),
+    "zakai": ("run = zakai\nbeta = 0.5\nseed = 11\nhorizon = 0.25\nstep = 2e-3\ngrid.cells = 32\n", {
+        "run_summary.txt": "1b0b0792be5eb728d4c913daa687cce77bd793f7",
+        "zakai_snapshots.csv": "68dff2f997a8d34322bd64f1fdae085824cb1b06",
+        "zakai_summary.csv": "e4b7c9fa323be3df5c844da1b6ec56cc729877e0"}),
+    "frac-zakai": ("run = frac-zakai\nbeta = 0.5\nseed = 13\nhorizon = 0.25\nstep = 2e-3\n"
+                   "grid.cells = 32\n", {
+        "frac_zakai_snapshots.csv": "7aa768d975c3787e3fc5692becb68a8dc6b0562c",
+        "frac_zakai_summary.csv": "cc21752b4892d265c57a202d8b54b36575234b57",
+        "run_summary.txt": "bcb326c8b6caffffb1abb925f1d7f2e9c2214620"}),
+    "oracle": ("run = oracle\nbeta = 0.5\nseed = 4242\nhorizon = 0.25\nstep = 2e-3\n"
+               "grid.cells = 32\ncheckpoints = 0.1 0.25\n", {
+        "oracle_report.csv": "299a679d2540ccfa114d42757d2593f949a88609",
+        "run_summary.txt": "4b84ea43a8281239e83cfd07bc8ccea3347a4f44"}),
+    "subordinate": ("run = subordinate\nbeta = 0.5\nhorizon = 0.25\nstep = 1e-3\n"
+                    "grid.lower = -6\ngrid.upper = 6\ngrid.cells = 32\n", {
+        "run_summary.txt": "dfc9633a9a3cf757aa8ea38d938a8ac6151c009e",
+        "subordination.csv": "e88cd208dbf063e8124ab1afe0445cdd51aeecef"}),
+    "jump-filter": ("run = jump-filter\nbeta = 0.5\nseed = 4242\nhorizon = 0.25\nstep = 2e-3\n"
+                    "particles = 500\n", {
+        "jump_events.csv": "6b4f1e40a7d78b893433e7868874564361ac1bcc",
+        "jump_posterior.csv": "a6b763531a2c0ae0a17c36993bff2e0928e520e1",
+        "run_summary.txt": "610d89c3b86771fcd07358b4cd309ea1ae74173d"}),
+}
+
+
 class TestRunner:
+    @pytest.mark.parametrize("tag", sorted(_PINNED_RUNS))
+    def test_outputs_match_pinned_sha1(self, tmp_path, tag):
+        text, pinned = _PINNED_RUNS[tag]
+        cfg = parse_config(text)
+        cfg.out_dir = str(tmp_path / "out")
+        status, _ = run_experiment(cfg)
+        assert status == 0
+        written = {p.name: hashlib.sha1(p.read_bytes()).hexdigest()
+                   for p in (tmp_path / "out").iterdir()}
+        assert written == pinned
+
+    @pytest.mark.parametrize("tag,name,key", [
+        ("density-0.5", "CLOSED_FORM_TOL", "tolerance_closed_form"),
+        ("oracle", "PATHWISE_L1_TOL", "tolerance_l1"),
+        ("subordinate", "SUBORDINATION_L1_TOL", "tolerance_l1"),
+        ("jump-filter", "RESIDUAL_Z_TOL", "tolerance"),
+    ])
+    def test_run_reads_the_criterion_tolerance(self, tmp_path, monkeypatch, tag, name, key):
+        # a tolerance shared with a criterion is read from the acceptance module,
+        # so tightening it there moves the run's verdict too
+        cfg = parse_config(_PINNED_RUNS[tag][0])
+        for tol, status, verdict in [(0.0, 1, "false"), (1e300, 0, "true")]:
+            monkeypatch.setattr(acceptance, name, tol)
+            cfg.out_dir = str(tmp_path / f"out_{tol:g}")
+            assert run_experiment(cfg)[0] == status
+            summary = dict(line.split(" = ", 1) for line in
+                           (tmp_path / f"out_{tol:g}" / "run_summary.txt").read_text().splitlines())
+            assert summary["pass"] == verdict
+            shown = f"{tol:g} standard errors" if key == "tolerance" else f"{tol:.17g}"
+            assert summary[key] == shown
+
     def test_density_run_emits_table_and_pass_flag(self, tmp_path):
         cfg = parse_config("run = density\nbeta = 0.5\nseed = 7\n")
         cfg.out_dir = str(tmp_path / "out")

@@ -405,6 +405,16 @@ class TestInverseDensity:
         assert np.array_equal(batch.ravel(), single)
         assert np.array_equal(batch[:, 1], t[:, 1] ** (-beta) / gamma(1.0 - beta))
 
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8, 0.9, 0.95, 0.995])
+    def test_finite_down_to_the_smallest_tau(self, beta):
+        # just above the boundary rule the prefactor t / (beta tau^(1 + 1/beta))
+        # overflows; g is continuous at 0, so there it takes the boundary value
+        taus = np.geomspace(1e-320, 1.0, 3201)
+        g = inverse_density_grid(beta, 1.0, taus)
+        assert np.all(np.isfinite(g)) and np.all(g >= 0.0)
+        g0 = 1.0 / gamma(1.0 - beta)
+        assert np.max(np.abs(g[taus < 1e-60] - g0)) <= 1e-12 * g0
+
     def test_nonnegative_and_vanishing_tail(self):
         taus = np.linspace(0.0, 6.0, 200)
         g = inverse_density_grid(0.5, 1.0, taus)
