@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import beta as beta_fn
-from scipy.special import betainc, gamma, roots_legendre
+from scipy.special import betainc, gamma
 
 from .config import parse_config
 from .fraccalc import (
@@ -42,6 +42,7 @@ from .sde_sim import (
 from . import levy_ext
 from .subordinator import (
     InversePath,
+    _panel_quad,
     inverse_density_grid,
     laplace_identity_residual,
     sample_inverse_path,
@@ -82,17 +83,6 @@ class CheckResult:
             "budget_s": self.budget_s if finite else None,
             "margin": self.runtime_s / self.budget_s if finite else None,
         }, default=lambda v: v.item())   # numpy scalars in details
-
-
-def _panel_quad(fn, lo: float, hi: float, panels: int = 8, order: int = 64) -> float:
-    nodes, wts = roots_legendre(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        x = 0.5 * (a + b) + half * nodes
-        total += half * float(np.dot(fn(x), wts))
-    return total
 
 
 # pass rules that `fracfilt run` kinds share with a criterion
@@ -169,29 +159,28 @@ def criterion_2():
     details = {}
     ok = True
 
-    worst_b = 0.0
+    # np.max, not max(worst, ...): a NaN error must fail its bound
+    errs_b = []
     for beta, t in [(0.6, 2.0), (0.3, 0.5), (0.8, 1.5)]:
         target = t ** (-beta) / gamma(1.0 - beta)
-        val0, val_eps = inverse_density_grid(beta, t, [0.0, 1e-8])
-        worst_b = max(worst_b, abs(val0 - target), abs(val_eps - target))
+        errs_b += [abs(v - target) for v in inverse_density_grid(beta, t, [0.0, 1e-8])]
+    worst_b = float(np.max(errs_b))
     details["boundary_error"] = worst_b
     ok &= worst_b < 1e-6
 
     triples = [(0.5, 1.0, 0.5), (0.5, 1.0, 1.0), (0.5, 1.0, 2.0),
                (0.5, 0.0, 1.0), (0.8, 2.0, 1.0), (0.3, 0.5, 1.0)]
-    worst_d = 0.0
-    for beta, tau, s in triples:
-        worst_d = max(worst_d, laplace_identity_residual(beta, tau, [s]))
+    worst_d = float(np.max([laplace_identity_residual(beta, tau, [s]) for beta, tau, s in triples]))
     details["laplace_residual"] = worst_d
     ok &= worst_d < 1e-4
 
-    worst_n = 0.0
+    errs_n = []
     for beta in (0.3, 0.5, 0.8):
         for t in (0.5, 1.0, 2.0):
             hi = tau_cutoff(beta, t, 1e-14)
-            mass = _panel_quad(lambda x: inverse_density_grid(beta, t, x), 0.0, hi,
-                               panels=12, order=64)
-            worst_n = max(worst_n, abs(mass - 1.0))
+            mass = _panel_quad(lambda x: inverse_density_grid(beta, t, x), 0.0, hi, 12, 64)
+            errs_n.append(abs(mass - 1.0))
+    worst_n = float(np.max(errs_n))
     details["normalization_error"] = worst_n
     ok &= worst_n < 1e-6
     return ok, details

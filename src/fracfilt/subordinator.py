@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma, gammaln, roots_legendre
+from scipy.special import gamma, gammaln, roots_genlaguerre, roots_legendre
 
 __all__ = [
     "SubordinatorPath",
@@ -362,18 +362,6 @@ def _zolotarev_integral(y: np.ndarray, beta: float) -> np.ndarray:
     if table is None:
         return _zolotarev_quadrature(y, beta)
     lo, width, coef = table
-    if y.size == 1:
-        # the same steps in Python floats, whose +, - and * round as numpy's
-        # element-wise float64 ops do; log and exp stay numpy calls, which may
-        # differ from libm in the last bit
-        s = max((np.log(y).item() - float(lo)) / float(width), 0.0)
-        p = min(int(s), _CHEB_PANELS - 1)
-        x2 = 4.0 * (s - p) - 2.0
-        col = coef[:, p].tolist()
-        b1 = b2 = 0.0
-        for c in col[:0:-1]:
-            b1, b2 = c + x2 * b1 - b2, b1
-        return np.exp(np.array([col[0] + 0.5 * x2 * b1 - b2]))
     s = np.maximum((np.log(y) - lo) / width, 0.0)
     p = np.minimum(s.astype(np.intp), _CHEB_PANELS - 1)
     x2 = 4.0 * (s - p) - 2.0
@@ -480,6 +468,17 @@ def inverse_density_grid(beta: float, t, tau) -> np.ndarray:
     return out.reshape(shape)
 
 
+def _panel_quad(fn, lo: float, hi: float, panels: int, order: int) -> float:
+    """int_lo^hi fn by order-point Gauss-Legendre on `panels` equal panels; fn is
+    called once, on the nodes of every panel."""
+    nodes, wts = roots_legendre(order)
+    edges = np.linspace(lo, hi, panels + 1)
+    a, b = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (b - a)
+    vals = fn((0.5 * (a + b) + half * nodes).ravel()).reshape(panels, order)
+    return sum((half[:, 0] * (vals @ wts)).tolist())
+
+
 def _tail_constants(beta: float, t: float) -> tuple[float, float, float]:
     """(beta, c, C) for checked beta and t, of the tail envelope
     C exp(-c tau^(1/(1-b)) / t^(b/(1-b))): c = a(0+), and C bounds g by its
@@ -516,25 +515,41 @@ def tau_cutoff(beta: float, t: float, tol: float = 1e-12) -> float:
 def laplace_identity_residual(beta: float, tau: float, s_grid) -> float:
     """Self-test of the Laplace identity L_{t->s}[g_t(tau)] = s^(b-1) exp(-tau s^b).
 
-    Computes the transform by adaptive quadrature over t and returns the max
-    absolute deviation from the closed form over s_grid.
+    Returns the max absolute deviation from the closed form over s_grid (NaN if
+    a transform is NaN).  Each s calls inverse_density_grid once, on every node
+    of a fixed rule: at tau > 0, 32-point Gauss-Legendre panels at most
+    4 min(1, (1-b)/b) wide in x = log t, from the t below which the evaluator's
+    underflow rule a0 y > _LOG_TINY makes g exactly 0 (but t >= exp(-_LOG_TINY))
+    to t = 40/s, the integrand decaying double-exponentially in x at both ends;
+    at tau = 0, 16-point generalized Gauss-Laguerre in s t with the weight
+    (s t)^(-b) exp(-s t) of g_t(0).  Measured: at most 3.2e-14 for beta 0.05 to
+    0.99, tau 0 to 5 and s 0.1 to 10; 6.4e-13 (8e-15 relative) out to tau 1e-3,
+    s 0.01 and beta 0.999.
     """
-    from scipy.integrate import quad  # scipy.integrate would slow every fracfilt import
-
     beta = _check_beta(beta)
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
+    if not 0.0 <= tau < np.inf:
+        raise ValueError(f"tau must be nonnegative and finite, got {tau}")
     s_arr = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    if np.any(s_arr <= 0.0):
-        raise ValueError("s_grid must be positive")
-    worst = 0.0
-    for s in s_arr:
-        if tau == 0.0:
-            # g_t(0) = t^(-beta)/Gamma(1-beta); integrable endpoint singularity
-            integrand = lambda t: np.exp(-s * t) * t ** (-beta) / gamma(1.0 - beta)
-        else:
-            integrand = lambda t: np.exp(-s * t) * inverse_density_grid(beta, t, tau)[()]
-        val, _ = quad(integrand, 0.0, np.inf, limit=400)
-        target = s ** (beta - 1.0) * np.exp(-tau * s ** beta)
-        worst = max(worst, abs(val - target))
-    return worst
+    if not np.all((s_arr > 0.0) & (s_arr < np.inf)):
+        raise ValueError("s_grid must be positive and finite")
+    vals = np.array([_laplace_transform(beta, tau, s) for s in s_arr.tolist()])
+    return float(np.max(np.abs(vals - s_arr ** (beta - 1.0) * np.exp(-tau * s_arr ** beta))))
+
+
+def _laplace_transform(beta: float, tau: float, s: float) -> float:
+    """int_0^inf exp(-s t) g_t(tau) dt by the rules of laplace_identity_residual."""
+    if tau == 0.0:
+        x, w = roots_genlaguerre(16, -beta)
+        return float(w @ (inverse_density_grid(beta, x / s, 0.0) * x ** beta)) / s
+    lo = max(np.log(tau) / beta - (1.0 - beta) / beta * np.log(_LOG_TINY / _a_zero(beta)),
+             -_LOG_TINY)
+    hi = np.log(40.0 / s)
+    if lo >= hi:
+        return 0.0
+    panels = int(np.ceil((hi - lo) / (4.0 * min(1.0, (1.0 - beta) / beta))))
+
+    def integrand(x):
+        t = np.exp(x)
+        return np.exp(-s * t) * inverse_density_grid(beta, t, tau) * t
+
+    return _panel_quad(integrand, lo, hi, panels, _GL_ORDER)

@@ -3,6 +3,7 @@ pass/fail line; the suite fails if any criterion fails."""
 
 import json
 
+import numpy as np
 import pytest
 
 from fracfilt import acceptance
@@ -51,3 +52,19 @@ def test_criterion_reads_the_tolerance_its_run_kind_shares(monkeypatch, name, cr
     monkeypatch.setattr(acceptance, name, 0.0)
     result = criterion()
     assert not result.passed and result.details["tolerance"] == 0.0
+
+
+def _nan_density(beta, t, tau):
+    return np.full(np.broadcast(np.asarray(t), np.asarray(tau)).shape, np.nan)
+
+
+@pytest.mark.parametrize("name,patch,keys", [
+    ("inverse_density_grid", _nan_density, ["boundary_error", "normalization_error"]),
+    ("laplace_identity_residual", lambda beta, tau, s_grid: np.nan, ["laplace_residual"]),
+], ids=["density", "laplace"])
+def test_criterion_2_fails_on_nan(monkeypatch, name, patch, keys):
+    # max(worst, nan) is worst: each worst-of reduction must carry the NaN through
+    monkeypatch.setattr(acceptance, name, patch)
+    result = acceptance.criterion_2()
+    assert not result.passed
+    assert [k for k, v in result.details.items() if np.isnan(v)] == keys

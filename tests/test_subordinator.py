@@ -470,16 +470,71 @@ class TestLaplaceIdentity:
         assert laplace_identity_residual(0.8, 2.0, [1.0]) < 1e-4
         for beta in (0.05, 0.95):     # near both ends of (0, 1)
             assert laplace_identity_residual(beta, 1.0, [0.5, 1.0, 2.0]) < 1e-4
+        # g is nonzero below t = exp(-708) here, where the rule starts
+        assert laplace_identity_residual(0.015, 1e-3, [0.5, 1.0, 2.0]) <= 1e-12
 
+    @pytest.mark.parametrize("beta", [0.05, 0.1, 0.3, 0.5, 0.6, 0.8, 0.9, 0.95, 0.99])
+    def test_roundoff_accuracy(self, beta):
+        # the rules converge to roundoff: the documented 3.2e-14, with margin
+        s_grid = [0.1, 0.5, 1.0, 1.13, 2.0, 10.0]
+        for tau in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0):
+            assert laplace_identity_residual(beta, tau, s_grid) <= 1e-12
+
+    def test_one_density_call_per_s(self, monkeypatch):
+        calls = []
+
+        def counted(beta, t, tau):
+            calls.append(np.size(t))
+            return inverse_density_grid(beta, t, tau)
+
+        monkeypatch.setattr(subordinator, "inverse_density_grid", counted)
+        laplace_identity_residual(0.8, 1.0, [1.1, 2.0])
+        laplace_identity_residual(0.8, 0.0, [1.1])
+        assert len(calls) == 3 and min(calls) > 1
+
+    def test_empty_range_integrates_to_zero(self):
+        # at beta = 1/2, g_t(50) is exactly 0 up to t = 0.88, past 40/s = 0.4: the
+        # rule is empty, the transform 0 and the residual the closed form itself
+        tau, s = 50.0, 100.0
+        assert laplace_identity_residual(0.5, tau, [s]) == pytest.approx(
+            s ** -0.5 * np.exp(-tau * s ** 0.5), rel=1e-14)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_fails_on_a_density_off_by_1e_3(self, monkeypatch, beta, tau):
+        # the self-test reads the library's density at tau = 0 too
+        monkeypatch.setattr(subordinator, "inverse_density_grid",
+                            lambda b, t, x: (1.0 + 1e-3) * inverse_density_grid(b, t, x))
+        assert not laplace_identity_residual(beta, tau, [1.0]) < 1e-4
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_nan_density_is_not_a_pass(self, monkeypatch, tau):
+        monkeypatch.setattr(subordinator, "inverse_density_grid",
+                            lambda b, t, x: np.full(np.shape(t), np.nan))
+        assert np.isnan(laplace_identity_residual(0.5, tau, [1.0, 2.0]))
 
     @pytest.mark.parametrize("tau,s_grid,match", [
         (-0.1, [1.0], "tau must be nonnegative"),
+        (np.nan, [1.0], "tau must be nonnegative and finite"),
+        (np.inf, [1.0], "tau must be nonnegative and finite"),
         (1.0, [1.0, 0.0], "s_grid must be positive"),
         (1.0, [-2.0], "s_grid must be positive"),
+        (1.0, [np.nan], "s_grid must be positive and finite"),
+        (1.0, [1.0, np.inf], "s_grid must be positive and finite"),
     ])
     def test_refusals(self, tau, s_grid, match):
         with pytest.raises(ValueError, match=match):
             laplace_identity_residual(0.5, tau, s_grid)
+
+    def test_panel_quad_calls_fn_once(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x.shape)
+            return x ** 7
+
+        assert subordinator._panel_quad(fn, 0.0, 2.0, 3, 4) == pytest.approx(32.0, rel=1e-14)
+        assert calls == [(12,)]
 
 
 class TestPathTypes:
